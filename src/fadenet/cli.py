@@ -108,7 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p_sweep)
     _add_grid_flags(p_sweep)
     p_sweep.add_argument("--outer", type=int, default=20000, help="outer MC samples")
-    p_sweep.add_argument("--inner", type=int, default=2000, help="inner mixture draws")
+    p_sweep.add_argument(
+        "--inner",
+        type=int,
+        default=2000,
+        help="inner mixture draws per outer sample, used only on levels with "
+        "interferers; interferer-free levels use deterministic quadrature",
+    )
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel grid points")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -304,4 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_INFEASIBLE
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
+    except ArithmeticError as exc:
+        # last resort: an input beyond double range (a huge --grid exponent,
+        # a kappa* whose feasibility threshold overflows) is still bad input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_INPUT

@@ -1,11 +1,17 @@
 """Monte Carlo estimation of the layered scheme's per-level rates.
 
-The estimator is a nested plug-in: outer samples come from the true channel,
-and both the conditional and the marginal output densities are approximated
-by Gaussian-mixture averages over fresh inner draws of whatever the density
-does not condition on.  Conditioned on the interfering fading entries and
-inputs, the output is exactly complex Gaussian, so every mixture component
-is closed form and the only approximation error is Monte Carlo.
+Outer samples come from the true channel and the estimate averages
+log f(y|x) - log f(y) over them.  On an interferer-free level the output is
+complex Gaussian given |x|, and log|x| is uniform on the level window, so the
+marginal f(y) is a smooth one-dimensional integral; it is evaluated by
+deterministic composite Gauss-Legendre quadrature over s = log|x|, with the
+input phase averaged exactly (a Bessel factor when the fading has a mean).
+Levels with hearable interferers, and callers that supply their own magnitude
+law, use a nested plug-in instead: both densities are approximated by
+Gaussian-mixture averages over fresh inner draws of whatever the density does
+not condition on.  Conditioned on the interfering fading entries and inputs
+the output is exactly complex Gaussian, so every mixture component is closed
+form and the only approximation error is Monte Carlo.
 
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import i0e, logsumexp
 
 from .bounds import (
     AllocationInfeasibleError,
@@ -48,6 +54,10 @@ __all__ = [
 ]
 
 _MIN_SAMPLES = 100
+# composite Gauss-Legendre over s = log|x| for interferer-free levels: panels
+# at most this wide in s, each with this many nodes
+_GL_PANEL_WIDTH = 0.25
+_GL_NODES_PER_PANEL = 8
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,46 @@ class MiEstimate(NamedTuple):
     stderr: float
 
 
+def _magnitude_quadrature(
+    mu: complex, eps2: float, x_lo: float, x_hi: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """log f(y) of y = h x + z, h ~ CN(mu, eps2), z ~ CN(0, 1), with log|x|
+    uniform on [log x_lo, log x_hi] and the phase of x uniform.
+
+    Given |x| = r the phase average is closed form,
+        f(y | r) = exp(-(|y|^2 + |mu|^2 r^2) / v) I0(z) / (pi v),
+    with v = 1 + eps2 r^2 and z = 2 |mu| r |y| / v, and the average over
+    s = log r is composite Gauss-Legendre on panels of equal width.  With a
+    mean the integrand peaks in s with width about sqrt(eps2) / |mu|; the
+    fixed panels resolve it to round-off while that width is at least 0.1
+    (Rician K-factor up to 100), and the error grows beyond that.
+    """
+    s_lo, s_hi = math.log(x_lo), math.log(x_hi)
+    width = s_hi - s_lo
+    panels = max(1, math.ceil(width / _GL_PANEL_WIDTH))
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
+    half = 0.5 * width / panels
+    centres = s_lo + half * (2.0 * np.arange(panels) + 1.0)
+    s = (centres[:, None] + half * nodes).ravel()
+    # the uniform density 1/width folds into the weights
+    log_w = np.log(np.tile(weights * half / width, panels))
+    r = np.exp(s)
+    v = 1.0 + eps2 * r * r
+    base = log_w - np.log(math.pi * v)
+    mu_r = abs(mu) * r
+
+    def log_marginal(y: np.ndarray) -> np.ndarray:
+        a = np.abs(y)[:, None]
+        if mu == 0:
+            return logsumexp(base - a * a / v, axis=-1)
+        z = 2.0 * mu_r * a / v
+        # -(a^2 + mu_r^2) / v + log I0(z) = -(a - mu_r)^2 / v + log i0e(z),
+        # which avoids cancelling two large terms
+        return logsumexp(base - (a - mu_r) ** 2 / v + np.log(i0e(z)), axis=-1)
+
+    return log_marginal
+
+
 def estimate_pair_mi(
     model: FadingModel,
     chain: PowerChain,
@@ -130,22 +180,29 @@ def estimate_pair_mi(
     seed,
     magnitude_sampler: Callable[[np.random.Generator, tuple], np.ndarray] | None = None,
 ) -> MiEstimate:
-    """Nested Monte Carlo estimate of I(X(t_nu); Y(r_nu)) in nats.
+    """Monte Carlo estimate of I(X(t_nu); Y(r_nu)) in nats.
 
     The witness receiver sees the level-nu transmitter plus whichever weaker
     chain members it can hear; stronger members are structurally silent at it
     (checked, not assumed).  Outer samples (x_i, y_i) come from the true
-    channel.  log f(y|x) averages, over ``m_inner`` fresh draws of the
-    hearable interferers' fading and inputs, the exact conditional Gaussian
-    density whose mean interpolates the witness entry from the drawn
-    interferer entries and whose variance is the Schur-complement residual.
-    log f(y) repeats this with fresh input draws included.  The standard
-    error comes from the outer-sample variance alone.
+    channel, and the standard error comes from the outer-sample variance
+    alone.
+
+    On an interferer-free level log f(y|x) is exact and log f(y) is a
+    deterministic Gauss-Legendre quadrature over log|x| with the phase
+    averaged in closed form, so no inner draws are made and ``m_inner`` is
+    not used.  On a level with hearable interferers log f(y|x) averages,
+    over ``m_inner`` fresh draws of their fading and inputs, the exact
+    conditional Gaussian density whose mean interpolates the witness entry
+    from the drawn interferer entries and whose variance is the
+    Schur-complement residual; log f(y) repeats this with fresh input draws
+    included.
 
     ``magnitude_sampler(rng, shape)``, when given, replaces the level-nu
-    magnitude law in both the channel input and the marginal's fresh draws;
-    phases stay uniform.  Meant for diagnostics (constant or two-point
-    magnitudes) where the estimate has a closed-form or zero target.
+    magnitude law in both the channel input and the marginal, which then
+    takes ``m_inner`` fresh draws on every level; phases stay uniform.
+    Meant for diagnostics (constant or two-point magnitudes) where the
+    estimate has a closed-form or zero target.
     """
     topo = model.topo
     validate_chain(topo, chain)
@@ -189,6 +246,9 @@ def estimate_pair_mi(
     x_lo, x_hi = alloc.levels[nu - 1]
     rng = _as_generator(seed)
     log_m = math.log(m_inner)
+    quadrature = None
+    if not d and magnitude_sampler is None:
+        quadrature = _magnitude_quadrature(mu_t, eps2, x_lo, x_hi)
 
     def draw_target(shape) -> np.ndarray:
         if magnitude_sampler is None:
@@ -239,7 +299,10 @@ def estimate_pair_mi(
         else:
             var = 1.0 + eps2 * np.abs(x) ** 2
             log_cond = -np.log(math.pi * var) - np.abs(y - mu_t * x) ** 2 / var
-        log_marg = mixture_logpdf(y, draw_target((n, m_inner)))
+        if quadrature is None:
+            log_marg = mixture_logpdf(y, draw_target((n, m_inner)))
+        else:
+            log_marg = quadrature(y)
         vals[done : done + n] = log_cond - log_marg
         done += n
 

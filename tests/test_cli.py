@@ -143,6 +143,20 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "8,9,1")
         assert code == 2
 
+    def test_threshold_overflow_is_input_error(self, capsys):
+        # min_valid_snr overflows a double for kappa* = 12
+        code, _, err = run(capsys, "bounds", "--gen", "diagonal:12", "--grid", "8,16,3")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_grid_overflow_is_input_error(self, capsys):
+        # 10**400 is beyond double range
+        code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "8,400,3")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_requires_seed(self, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fadenet import simulate
 from fadenet.bounds import allocation, scalar_mi_lower_bound
 from fadenet.fading import FadingModel, log_h_squared_mean
 from fadenet.powerchain import PowerChain, longest_chain
@@ -252,6 +253,65 @@ class TestEstimatePairMi:
         c = estimate_pair_mi(model, chain, alloc, 1, 300, 120, seed=2)
         assert a == b
         assert a != c
+
+
+def _log_uniform_sampler(x_lo, x_hi):
+    # the layered scheme's own magnitude law, handed in as a custom sampler
+    # so that the estimator takes its nested mixture path
+    def sampler(rng, shape):
+        return np.exp(rng.uniform(math.log(x_lo), math.log(x_hi), size=shape))
+
+    return sampler
+
+
+class TestMagnitudeQuadrature:
+    @pytest.fixture(params=["iid", "rician"])
+    def pair_model(self, request):
+        topo = generate("diagonal", 2)
+        if request.param == "iid":
+            model = FadingModel.iid_rayleigh(topo)
+        else:
+            model = FadingModel.from_mapping(topo, means={(1, 1): 1.0 + 0.5j, (2, 2): -0.8j})
+        _, chain = longest_chain(topo)
+        return model, chain
+
+    @pytest.mark.parametrize("snr", [1e8, 1e12, 1e16])
+    def test_matches_nested_oracle(self, pair_model, snr):
+        model, chain = pair_model
+        alloc = allocation(snr, 2)
+        for nu in (1, 2):
+            quadrature = estimate_pair_mi(model, chain, alloc, nu, 2000, 2000, seed=nu)
+            nested = estimate_pair_mi(
+                model,
+                chain,
+                alloc,
+                nu,
+                2000,
+                1000,
+                seed=10 + nu,
+                magnitude_sampler=_log_uniform_sampler(*alloc.levels[nu - 1]),
+            )
+            tol = 3 * math.hypot(quadrature.stderr, nested.stderr)
+            assert abs(quadrature.value - nested.value) < tol, (nu, quadrature, nested)
+
+    def test_draws_no_inner_randomness(self, pair_model):
+        model, chain = pair_model
+        alloc = allocation(1e12, 2)
+        for nu in (1, 2):
+            few = estimate_pair_mi(model, chain, alloc, nu, 500, 200, seed=3)
+            many = estimate_pair_mi(model, chain, alloc, nu, 500, 2000, seed=3)
+            assert few == many
+
+    def test_converged_in_nodes_per_panel(self, pair_model, monkeypatch):
+        model, chain = pair_model
+        for snr in (1e8, 1e16):
+            alloc = allocation(snr, 2)
+            for nu in (1, 2):
+                base = estimate_pair_mi(model, chain, alloc, nu, 500, 200, seed=4)
+                with monkeypatch.context() as patch:
+                    patch.setattr(simulate, "_GL_NODES_PER_PANEL", 2 * simulate._GL_NODES_PER_PANEL)
+                    fine = estimate_pair_mi(model, chain, alloc, nu, 500, 200, seed=4)
+                assert abs(fine.value - base.value) < 1e-6
 
 
 class TestSnrSweep:
