@@ -29,7 +29,6 @@ from .powerchain import (
     ChainDecomposition,
     PowerChain,
     SizeGuardError,
-    brute_force_kappa,
     decompose,
     is_power_chain,
     longest_chain,
@@ -43,7 +42,6 @@ from .fading import (
     fading_model_to_dict,
     load_fading_model,
     log_h_squared_mean,
-    log_h_squared_mean_mc,
     memory_gap_ar1,
     sample_matrix,
     save_fading_model,
@@ -92,7 +90,6 @@ __all__ = [
     "ChainDecomposition",
     "PowerChain",
     "SizeGuardError",
-    "brute_force_kappa",
     "decompose",
     "is_power_chain",
     "longest_chain",
@@ -104,7 +101,6 @@ __all__ = [
     "fading_model_to_dict",
     "load_fading_model",
     "log_h_squared_mean",
-    "log_h_squared_mean_mc",
     "memory_gap_ar1",
     "sample_matrix",
     "save_fading_model",

@@ -113,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2000,
         help="inner mixture draws per outer sample, used only on levels with "
-        "interferers; interferer-free levels use deterministic quadrature",
+        "two or more interferers or a correlated or nonzero-mean one; every "
+        "other level uses deterministic quadrature",
     )
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel grid points")
     p_sweep.set_defaults(func=cmd_sweep)

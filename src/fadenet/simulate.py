@@ -6,12 +6,16 @@ complex Gaussian given |x|, and log|x| is uniform on the level window, so the
 marginal f(y) is a smooth one-dimensional integral; it is evaluated by
 deterministic composite Gauss-Legendre quadrature over s = log|x|, with the
 input phase averaged exactly (a Bessel factor when the fading has a mean).
-Levels with hearable interferers, and callers that supply their own magnitude
-law, use a nested plug-in instead: both densities are approximated by
-Gaussian-mixture averages over fresh inner draws of whatever the density does
-not condition on.  Conditioned on the interfering fading entries and inputs
-the output is exactly complex Gaussian, so every mixture component is closed
-form and the only approximation error is Monte Carlo.
+A level whose witness hears one zero-mean interferer uncorrelated with the
+witness entry is Gaussian given both input magnitudes, so f(y|x) is a
+one-dimensional rule over the interferer's log-magnitude and f(y) a tensor
+rule over both.  Levels with more interferers or a dependent one, and
+callers that supply their own magnitude law, use a nested plug-in instead:
+both densities are approximated by Gaussian-mixture averages over fresh
+inner draws of whatever the density does not condition on.  Conditioned on
+the interfering fading entries and inputs the output is exactly complex
+Gaussian, so every mixture component is closed form and the only
+approximation error is Monte Carlo.
 
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
@@ -54,10 +58,17 @@ __all__ = [
 ]
 
 _MIN_SAMPLES = 100
-# composite Gauss-Legendre over s = log|x| for interferer-free levels: panels
-# at most this wide in s, each with this many nodes
+# composite Gauss-Legendre over log-magnitudes: panels at most this wide in
+# s = log|x| (or in (1/2) log of the output variance on an interferer axis),
+# each with this many nodes
 _GL_PANEL_WIDTH = 0.25
 _GL_NODES_PER_PANEL = 8
+# with a fading mean the s panels are also at most this many sqrt(eps2)/|mu|
+# wide, which first binds above Rician K-factor 100
+_GL_RICIAN_PANELS = 2.5
+# outer rows times quadrature nodes evaluated at once; 256 rows of the
+# widest zero-mean interferer-free rule (480 nodes) fit in one block
+_QUADRATURE_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -129,44 +140,90 @@ class MiEstimate(NamedTuple):
     stderr: float
 
 
-def _magnitude_quadrature(
-    mu: complex, eps2: float, x_lo: float, x_hi: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """log f(y) of y = h x + z, h ~ CN(mu, eps2), z ~ CN(0, 1), with log|x|
-    uniform on [log x_lo, log x_hi] and the phase of x uniform.
-
-    Given |x| = r the phase average is closed form,
-        f(y | r) = exp(-(|y|^2 + |mu|^2 r^2) / v) I0(z) / (pi v),
-    with v = 1 + eps2 r^2 and z = 2 |mu| r |y| / v, and the average over
-    s = log r is composite Gauss-Legendre on panels of equal width.  With a
-    mean the integrand peaks in s with width about sqrt(eps2) / |mu|; the
-    fixed panels resolve it to round-off while that width is at least 0.1
-    (Rician K-factor up to 100), and the error grows beyond that.
-    """
-    s_lo, s_hi = math.log(x_lo), math.log(x_hi)
-    width = s_hi - s_lo
-    panels = max(1, math.ceil(width / _GL_PANEL_WIDTH))
+def _gl_rule(lo: float, hi: float, max_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log-weights of composite Gauss-Legendre for the uniform
+    average over [lo, hi], on equal panels at most ``max_width`` wide."""
+    width = hi - lo
+    panels = max(1, math.ceil(width / max_width))
     nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
     half = 0.5 * width / panels
-    centres = s_lo + half * (2.0 * np.arange(panels) + 1.0)
+    centres = lo + half * (2.0 * np.arange(panels) + 1.0)
     s = (centres[:, None] + half * nodes).ravel()
     # the uniform density 1/width folds into the weights
-    log_w = np.log(np.tile(weights * half / width, panels))
+    return s, np.log(np.tile(weights * half / width, panels))
+
+
+class _MagnitudeQuadrature(NamedTuple):
+    log_conditional: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    log_marginal: Callable[[np.ndarray], np.ndarray]
+
+
+def _magnitude_quadrature(
+    mu: complex,
+    eps2: float,
+    x_lo: float,
+    x_hi: float,
+    sigma2: float = 0.0,
+    xi_window: tuple[float, float] | None = None,
+) -> _MagnitudeQuadrature:
+    """log f(y | x) and log f(y) of y = h x + g xi + z, with h ~ CN(mu, eps2),
+    z ~ CN(0, 1), log|x| uniform on [log x_lo, log x_hi] and the phase of x
+    uniform.  With ``xi_window`` there is one interferer: g ~ CN(0, sigma2)
+    independent of h, log|xi| uniform on the window; without it g xi = 0.
+
+    Given |x| = r and |xi| = rho the phase averages are closed form,
+        f(y | r, rho) = exp(-(|y|^2 + |mu|^2 r^2) / v) I0(z) / (pi v),
+    with v = 1 + eps2 r^2 + sigma2 rho^2 and z = 2 |mu| r |y| / v, and the
+    averages over s = log r and s' = log rho are a tensor product of
+    composite Gauss-Legendre rules.  The s panels are at most 0.25 wide, and
+    narrower with a strong mean, whose peak in s is about sqrt(eps2) / |mu|
+    wide.  The s' panels are at most 0.25 wide in (1/2) log v, whose slope in
+    s' is at most B / (A + B), with A = 1 + eps2 x_lo^2 and
+    B = sigma2 xi_hi^2; a weak interferer thus needs a single panel.
+    """
+    max_width = _GL_PANEL_WIDTH
+    if mu != 0:
+        max_width = min(max_width, _GL_RICIAN_PANELS * math.sqrt(eps2) / abs(mu))
+    s, log_w = _gl_rule(math.log(x_lo), math.log(x_hi), max_width)
+    if xi_window is None:
+        b, log_wb = np.zeros(1), np.zeros(1)
+    else:
+        xi_lo, xi_hi = xi_window
+        a_min, b_max = 1.0 + eps2 * x_lo * x_lo, sigma2 * xi_hi * xi_hi
+        s_b, log_wb = _gl_rule(
+            math.log(xi_lo), math.log(xi_hi), _GL_PANEL_WIDTH * (a_min + b_max) / b_max
+        )
+        b = sigma2 * np.exp(2.0 * s_b)
+    # nodes flattened target-major, interferer-minor
     r = np.exp(s)
-    v = 1.0 + eps2 * r * r
-    base = log_w - np.log(math.pi * v)
-    mu_r = abs(mu) * r
+    v = ((1.0 + eps2 * r * r)[:, None] + b).ravel()
+    base = (log_w[:, None] + log_wb).ravel() - np.log(math.pi * v)
+    mu_r = np.repeat(abs(mu) * r, len(b))
+    rows = max(1, _QUADRATURE_ELEMENTS // len(v))
+
+    def log_conditional(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        var = (1.0 + eps2 * np.abs(x) ** 2)[:, None] + b
+        dist = np.abs(y - mu * x)[:, None] ** 2
+        comp = log_wb - np.log(math.pi * var) - dist / var
+        # a one-node rule (no interferer) needs no logsumexp
+        return comp[:, 0] if len(b) == 1 else logsumexp(comp, axis=-1)
 
     def log_marginal(y: np.ndarray) -> np.ndarray:
-        a = np.abs(y)[:, None]
-        if mu == 0:
-            return logsumexp(base - a * a / v, axis=-1)
-        z = 2.0 * mu_r * a / v
-        # -(a^2 + mu_r^2) / v + log I0(z) = -(a - mu_r)^2 / v + log i0e(z),
-        # which avoids cancelling two large terms
-        return logsumexp(base - (a - mu_r) ** 2 / v + np.log(i0e(z)), axis=-1)
+        out = np.empty(len(y))
+        for i in range(0, len(y), rows):
+            a = np.abs(y[i : i + rows])[:, None]
+            if mu == 0:
+                out[i : i + rows] = logsumexp(base - a * a / v, axis=-1)
+                continue
+            z = 2.0 * mu_r * a / v
+            # -(a^2 + mu_r^2) / v + log I0(z) = -(a - mu_r)^2 / v + log i0e(z),
+            # which avoids cancelling two large terms
+            out[i : i + rows] = logsumexp(
+                base - (a - mu_r) ** 2 / v + np.log(i0e(z)), axis=-1
+            )
+        return out
 
-    return log_marginal
+    return _MagnitudeQuadrature(log_conditional, log_marginal)
 
 
 def estimate_pair_mi(
@@ -190,19 +247,23 @@ def estimate_pair_mi(
 
     On an interferer-free level log f(y|x) is exact and log f(y) is a
     deterministic Gauss-Legendre quadrature over log|x| with the phase
-    averaged in closed form, so no inner draws are made and ``m_inner`` is
-    not used.  On a level with hearable interferers log f(y|x) averages,
-    over ``m_inner`` fresh draws of their fading and inputs, the exact
-    conditional Gaussian density whose mean interpolates the witness entry
-    from the drawn interferer entries and whose variance is the
-    Schur-complement residual; log f(y) repeats this with fresh input draws
-    included.
+    averaged in closed form.  With one hearable interferer whose entry has
+    zero mean and no correlation with the witness entry, log f(y|x) is a
+    Gauss-Legendre rule over the interferer's log-magnitude and log f(y) a
+    tensor rule over both log-magnitudes.  Neither path makes inner draws,
+    so ``m_inner`` is not used.  On any other level with hearable
+    interferers log f(y|x) averages, over ``m_inner`` fresh draws of their
+    fading and inputs, the exact conditional Gaussian density whose mean
+    interpolates the witness entry from the drawn interferer entries and
+    whose variance is the Schur-complement residual; log f(y) repeats this
+    with fresh input draws included.
 
     ``magnitude_sampler(rng, shape)``, when given, replaces the level-nu
     magnitude law in both the channel input and the marginal, which then
-    takes ``m_inner`` fresh draws on every level; phases stay uniform.
-    Meant for diagnostics (constant or two-point magnitudes) where the
-    estimate has a closed-form or zero target.
+    takes ``m_inner`` fresh draws on every level, and on a level with
+    interferers the conditional too; phases stay uniform.  Meant for
+    diagnostics (constant or two-point magnitudes) where the estimate has a
+    closed-form or zero target, and as the quadrature's test oracle.
     """
     topo = model.topo
     validate_chain(topo, chain)
@@ -246,9 +307,16 @@ def estimate_pair_mi(
     x_lo, x_hi = alloc.levels[nu - 1]
     rng = _as_generator(seed)
     log_m = math.log(m_inner)
+    # y is Gaussian given the input magnitudes when no interferer is heard, or
+    # one zero-mean interferer independent of the witness entry; a custom
+    # magnitude law keeps an interfering level wholly on the nested path
     quadrature = None
-    if not d and magnitude_sampler is None:
+    if not d:
         quadrature = _magnitude_quadrature(mu_t, eps2, x_lo, x_hi)
+    elif d == 1 and magnitude_sampler is None and mu_g[0] == 0 and joint[0, 1] == 0:
+        quadrature = _magnitude_quadrature(
+            mu_t, eps2, x_lo, x_hi, joint[1, 1].real, windows[0]
+        )
 
     def draw_target(shape) -> np.ndarray:
         if magnitude_sampler is None:
@@ -278,7 +346,7 @@ def estimate_pair_mi(
         comp = -np.log(math.pi * var) - np.abs(y[:, None] - mean) ** 2 / var
         return logsumexp(comp, axis=-1) - log_m
 
-    chunk = 256 if d == 0 else 64
+    chunk = 64 if quadrature is None else 256
     vals = np.empty(n_outer)
     done = 0
     while done < n_outer:
@@ -294,15 +362,14 @@ def estimate_pair_mi(
             signal = h_t * x
         y = signal + _standard_complex(rng, (n,))
 
-        if d:
+        if quadrature is None:
             log_cond = mixture_logpdf(y, np.broadcast_to(x[:, None], (n, m_inner)))
         else:
-            var = 1.0 + eps2 * np.abs(x) ** 2
-            log_cond = -np.log(math.pi * var) - np.abs(y - mu_t * x) ** 2 / var
-        if quadrature is None:
+            log_cond = quadrature.log_conditional(y, x)
+        if quadrature is None or magnitude_sampler is not None:
             log_marg = mixture_logpdf(y, draw_target((n, m_inner)))
         else:
-            log_marg = quadrature(y)
+            log_marg = quadrature.log_marginal(y)
         vals[done : done + n] = log_cond - log_marg
         done += n
 

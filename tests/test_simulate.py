@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import dblquad, quad
+from scipy.special import i0e
 
 from fadenet import simulate
 from fadenet.bounds import allocation, scalar_mi_lower_bound
@@ -20,7 +23,7 @@ from fadenet.simulate import (
     sample_output,
     snr_sweep,
 )
-from fadenet.topology import Topology, generate
+from fadenet.topology import Topology, generate, prune
 
 
 @pytest.fixture
@@ -225,7 +228,7 @@ class TestEstimatePairMi:
 
     def test_interference_path_runs(self):
         # in a linear chain the witness of an early level hears later levels,
-        # so the inner mixture has to marginalize genuine interferer draws
+        # so the estimator has to marginalize a genuine interferer
         topo = generate("wyner_linear", 3)
         model = FadingModel.iid_rayleigh(topo)
         kappa, chain = longest_chain(topo)
@@ -312,6 +315,144 @@ class TestMagnitudeQuadrature:
                     patch.setattr(simulate, "_GL_NODES_PER_PANEL", 2 * simulate._GL_NODES_PER_PANEL)
                     fine = estimate_pair_mi(model, chain, alloc, nu, 500, 200, seed=4)
                 assert abs(fine.value - base.value) < 1e-6
+
+    @pytest.mark.parametrize("mean", [10.0 * math.sqrt(10.0), 100.0])
+    def test_resolves_strong_line_of_sight(self, scalar_setup, mean, monkeypatch):
+        # Rician K = |mu|^2 / eps2 of 1e3 and 1e4: the peak in log|x| is about
+        # 1 / sqrt(K) wide, far narrower than the default panel
+        topo, _, chain = scalar_setup
+        model = FadingModel.from_mapping(topo, means={(1, 1): mean})
+        for snr in (1e8, 1e16):
+            alloc = allocation(snr, 1)
+            base = estimate_pair_mi(model, chain, alloc, 1, 100, 100, seed=6)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_GL_NODES_PER_PANEL", 64)
+                fine = estimate_pair_mi(model, chain, alloc, 1, 100, 100, seed=6)
+            assert abs(fine.value - base.value) < 1e-6, (snr, base, fine)
+
+
+def _z_channel() -> Topology:
+    # kappa* = 2; level 1's witness (receiver 1) also hears level 2's
+    # transmitter, so level 1 has d = 1 and level 2 has d = 0
+    return Topology(n_t=2, n_r=2, zeros=frozenset({(2, 1)}))
+
+
+class TestInterfererQuadrature:
+    @pytest.fixture(params=["iid", "witness_rician", "comparable_interferer"])
+    def z_model(self, request):
+        topo = _z_channel()
+        if request.param == "iid":
+            model = FadingModel.iid_rayleigh(topo)
+        elif request.param == "witness_rician":
+            model = FadingModel.from_mapping(topo, means={(1, 1): 1.0 + 0.5j, (2, 2): -0.8j})
+        else:
+            # entries in sorted order: (1, 1), (1, 2), (2, 2).  With unit
+            # variances the interferer at level 1's witness is weaker than
+            # the target's own fading noise by about (log E)^2; here the two
+            # are comparable, and at E = 1e16 the interferer axis takes
+            # several panels.  Much stronger interference starves the nested
+            # oracle's conditional mixture
+            model = FadingModel.from_mapping(topo, covariance=np.diag([1.0, 1e3, 1.0]))
+        _, chain = longest_chain(topo)
+        assert chain == PowerChain(transmitters=(1, 2), witnesses=(1, 2))
+        return model, chain
+
+    @pytest.mark.parametrize("snr", [1e8, 1e12, 1e16])
+    def test_matches_nested_oracle(self, z_model, snr):
+        model, chain = z_model
+        alloc = allocation(snr, 2)
+        for nu in (1, 2):
+            quadrature = estimate_pair_mi(model, chain, alloc, nu, 1000, 200, seed=nu)
+            nested = estimate_pair_mi(
+                model,
+                chain,
+                alloc,
+                nu,
+                1000,
+                500,
+                seed=10 + nu,
+                magnitude_sampler=_log_uniform_sampler(*alloc.levels[nu - 1]),
+            )
+            tol = 3 * math.hypot(quadrature.stderr, nested.stderr)
+            assert abs(quadrature.value - nested.value) < tol, (nu, quadrature, nested)
+
+    def test_draws_no_inner_randomness(self, z_model):
+        model, chain = z_model
+        alloc = allocation(1e12, 2)
+        for nu in (1, 2):
+            few = estimate_pair_mi(model, chain, alloc, nu, 500, 200, seed=3)
+            many = estimate_pair_mi(model, chain, alloc, nu, 500, 2000, seed=3)
+            assert few == many
+
+    def test_converged_in_nodes_per_panel(self, z_model, monkeypatch):
+        # one constant sets the nodes per panel on both axes
+        model, chain = z_model
+        for snr in (1e8, 1e16):
+            alloc = allocation(snr, 2)
+            for nu in (1, 2):
+                base = estimate_pair_mi(model, chain, alloc, nu, 300, 200, seed=4)
+                with monkeypatch.context() as patch:
+                    patch.setattr(simulate, "_GL_NODES_PER_PANEL", 2 * simulate._GL_NODES_PER_PANEL)
+                    fine = estimate_pair_mi(model, chain, alloc, nu, 300, 200, seed=4)
+                assert abs(fine.value - base.value) < 1e-6
+
+    @pytest.mark.parametrize("mu", [0j, 1.0 + 0.5j])
+    @pytest.mark.parametrize("sigma2", [1.0, 1e6])
+    def test_densities_match_adaptive_quadrature(self, mu, sigma2):
+        # both log densities against scipy's adaptive rules applied to the
+        # phase-averaged Gaussian density; sigma2 = 1e6 makes the interferer
+        # dominate and spreads its axis over several panels
+        (x_lo, x_hi), xi_window = allocation(1e16, 2).levels
+        s_lo, s_hi = math.log(x_lo), math.log(x_hi)
+        t_lo, t_hi = (math.log(v) for v in xi_window)
+        rule = simulate._magnitude_quadrature(mu, 1.0, x_lo, x_hi, sigma2, xi_window)
+
+        for a in (x_lo, math.sqrt(x_lo * x_hi), 0.5 * x_hi):
+            y = np.array([a * np.exp(0.3j)])
+            x = np.array([0.7 * a * np.exp(1.1j)])
+
+            def conditional(t):
+                v = 1.0 + abs(x[0]) ** 2 + sigma2 * math.exp(2 * t)
+                return math.exp(-abs(y[0] - mu * x[0]) ** 2 / v) / (math.pi * v)
+
+            def marginal(t, s):
+                r = math.exp(s)
+                v = 1.0 + r * r + sigma2 * math.exp(2 * t)
+                z = 2 * abs(mu) * r * a / v
+                return math.exp(-((a - abs(mu) * r) ** 2) / v) * i0e(z) / (math.pi * v)
+
+            cond = quad(conditional, t_lo, t_hi, epsabs=0, epsrel=1e-12)[0] / (t_hi - t_lo)
+            marg = dblquad(marginal, s_lo, s_hi, t_lo, t_hi, epsabs=0, epsrel=1e-10)[0]
+            marg /= (s_hi - s_lo) * (t_hi - t_lo)
+            assert rule.log_conditional(y, x)[0] == pytest.approx(math.log(cond), abs=1e-8)
+            assert rule.log_marginal(y)[0] == pytest.approx(math.log(marg), abs=1e-8)
+
+    @pytest.mark.parametrize("dependence", ["interferer_mean", "witness_interferer_covariance"])
+    def test_dependent_interferer_stays_nested(self, dependence):
+        topo = _z_channel()
+        if dependence == "interferer_mean":
+            model = FadingModel.from_mapping(topo, means={(1, 2): 0.5})
+        else:
+            # entries in sorted order: (1, 1), (1, 2), (2, 2)
+            covariance = np.eye(3, dtype=complex)
+            covariance[0, 1] = covariance[1, 0] = 0.3
+            model = FadingModel.from_mapping(topo, covariance=covariance)
+        _, chain = longest_chain(topo)
+        alloc = allocation(1e8, 2)
+        few = estimate_pair_mi(model, chain, alloc, 1, 200, 100, seed=3)
+        more = estimate_pair_mi(model, chain, alloc, 1, 200, 120, seed=3)
+        assert few != more
+
+    def test_two_interferers_stay_nested(self):
+        # lower-triangular 3x3: level 1's witness hears both weaker members
+        topo = Topology(n_t=3, n_r=3, zeros=frozenset({(2, 1), (3, 1), (3, 2)}))
+        model = FadingModel.iid_rayleigh(topo)
+        _, chain = longest_chain(topo)
+        assert chain == PowerChain(transmitters=(1, 2, 3), witnesses=(1, 2, 3))
+        alloc = allocation(1e22, 3)
+        few = estimate_pair_mi(model, chain, alloc, 1, 200, 100, seed=3)
+        more = estimate_pair_mi(model, chain, alloc, 1, 200, 120, seed=3)
+        assert math.isfinite(few.value) and few != more
 
 
 class TestSnrSweep:
@@ -448,3 +589,24 @@ class TestFitLoglogSlope:
         assert intercept == pytest.approx(4.0, abs=1e-9)
         with pytest.raises(ValueError, match="cannot fit"):
             fit_loglog_slope(records, field="snr")
+
+
+@st.composite
+def _small_pruned_topologies(draw):
+    n_t = draw(st.integers(1, 4))
+    n_r = draw(st.integers(1, 4))
+    cells = [(r, t) for r in range(1, n_r + 1) for t in range(1, n_t + 1)]
+    zeros = draw(st.sets(st.sampled_from(cells)))
+    topo = prune(Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros))).topology
+    assume(not topo.is_empty and longest_chain(topo)[0] <= 2)
+    return topo
+
+
+@given(_small_pruned_topologies())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_estimate_sits_between_bounds_on_random_topologies(topo):
+    model = FadingModel.iid_rayleigh(topo)
+    for rec in snr_sweep(topo, model, [1e8, 1e12, 1e16], 400, 100, seed=1):
+        assert rec.feasible
+        assert rec.analytic_lower <= rec.mc_estimate + 3 * rec.mc_stderr, rec
+        assert rec.mc_estimate - 3 * rec.mc_stderr <= rec.analytic_upper, rec
