@@ -32,7 +32,6 @@ from .powerchain import (
     decompose,
     is_power_chain,
     longest_chain,
-    order_permutation,
     validate_chain,
 )
 from .fading import (
@@ -43,12 +42,12 @@ from .fading import (
     load_fading_model,
     log_h_squared_mean,
     memory_gap_ar1,
-    sample_matrix,
     save_fading_model,
 )
 from .bounds import (
     AllocationInfeasibleError,
     BoundReport,
+    Plan,
     PowerAllocation,
     allocation,
     alpha_penalty,
@@ -56,21 +55,20 @@ from .bounds import (
     converse_envelope_report,
     duality_upper_bound,
     effective_noise_variance,
+    evaluate,
     interference_penalty,
     min_valid_snr,
+    plan,
     scalar_mi_lower_bound,
     scheme_rate_lower_bound,
 )
 from .simulate import (
-    InputLaw,
     MiEstimate,
     SweepRecord,
     estimate_pair_mi,
     fit_loglog_slope,
     records_to_csv,
     records_to_json,
-    sample_input,
-    sample_output,
     snr_sweep,
 )
 
@@ -93,7 +91,6 @@ __all__ = [
     "decompose",
     "is_power_chain",
     "longest_chain",
-    "order_permutation",
     "validate_chain",
     "FadingModel",
     "block_mutual_information",
@@ -102,10 +99,10 @@ __all__ = [
     "load_fading_model",
     "log_h_squared_mean",
     "memory_gap_ar1",
-    "sample_matrix",
     "save_fading_model",
     "AllocationInfeasibleError",
     "BoundReport",
+    "Plan",
     "PowerAllocation",
     "allocation",
     "alpha_penalty",
@@ -113,19 +110,18 @@ __all__ = [
     "converse_envelope_report",
     "duality_upper_bound",
     "effective_noise_variance",
+    "evaluate",
     "interference_penalty",
     "min_valid_snr",
+    "plan",
     "scalar_mi_lower_bound",
     "scheme_rate_lower_bound",
-    "InputLaw",
     "MiEstimate",
     "SweepRecord",
     "estimate_pair_mi",
     "fit_loglog_slope",
     "records_to_csv",
     "records_to_json",
-    "sample_input",
-    "sample_output",
     "snr_sweep",
     "__version__",
 ]

@@ -7,10 +7,15 @@ variance.  The converse side upper-bounds each decomposition phase with a
 duality argument whose dominant term is log log of the power budget.  Both
 sides are exact finite-SNR formulas, in nats, so they can be compared point
 by point against Monte Carlo estimates.
+
+Only the allocation windows and the duality bound's alpha term depend on the
+budget.  :func:`plan` computes everything else once per network, and
+:func:`evaluate` adds the budget-dependent half at one grid point.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +41,9 @@ __all__ = [
     "duality_upper_bound",
     "converse_envelope",
     "converse_envelope_report",
+    "Plan",
+    "plan",
+    "evaluate",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -220,6 +228,8 @@ class BoundReport:
     ``per_level_terms`` pairs each level's scalar rate guarantee with its
     interference penalty.  ``upper_bound`` is None until a converse value is
     attached.  ``constants`` keeps the raw ingredients for inspection.
+    ``alloc`` is the allocation the bounds were evaluated on;
+    :meth:`to_json_dict` leaves it out.
     """
 
     snr: float
@@ -229,6 +239,7 @@ class BoundReport:
     upper_bound: float | None
     per_level_terms: tuple[tuple[float, float], ...]
     constants: dict
+    alloc: PowerAllocation
 
     def to_json_dict(self) -> dict:
         return {
@@ -240,6 +251,76 @@ class BoundReport:
             "per_level_terms": [list(pair) for pair in self.per_level_terms],
             "constants": self.constants,
         }
+
+
+@dataclass(frozen=True)
+class _ChainLevel:
+    """Budget-free statistics of one chain level's witness entry."""
+
+    transmitter: int
+    witness: int
+    sigma_h: float
+    e_log_h2: float
+    eps2: float
+
+
+def _chain_levels(
+    topo: Topology, chain: PowerChain, model: FadingModel
+) -> tuple[_ChainLevel, ...]:
+    levels = []
+    for nu, (t, r) in enumerate(zip(chain.transmitters, chain.witnesses), start=1):
+        variance = model.entry_variance(r, t)
+        # the weaker chain members this witness hears
+        interferers = [(r, u) for u in chain.transmitters[nu:] if (r, u) not in topo.zeros]
+        levels.append(
+            _ChainLevel(
+                transmitter=t,
+                witness=r,
+                sigma_h=math.sqrt(variance),
+                e_log_h2=log_h_squared_mean(model.entry_mean(r, t), variance),
+                eps2=model.conditional_variance((r, t), interferers),
+            )
+        )
+    return tuple(levels)
+
+
+def _scheme_report(
+    levels: Sequence[_ChainLevel], frob2: float, alloc: PowerAllocation
+) -> BoundReport:
+    terms = []
+    level_details = []
+    for nu, level in enumerate(levels, start=1):
+        x_min, x_max = alloc.levels[nu - 1]
+        sigma_w = math.sqrt(effective_noise_variance(nu, alloc, frob2))
+        term = scalar_mi_lower_bound(x_min, x_max, level.sigma_h, sigma_w, level.e_log_h2)
+        penalty = interference_penalty(nu, alloc, frob2, level.eps2)
+        terms.append((term, penalty))
+        level_details.append(
+            {
+                "level": nu,
+                "transmitter": level.transmitter,
+                "witness": level.witness,
+                "x_min": x_min,
+                "x_max": x_max,
+                "sigma_h": level.sigma_h,
+                "sigma_w": sigma_w,
+                "e_log_h2": level.e_log_h2,
+                "eps2": level.eps2,
+                "rate_term": term,
+                "interference_penalty": penalty,
+            }
+        )
+    snr, kappa = alloc.snr_budget, alloc.kappa
+    return BoundReport(
+        snr=snr,
+        kappa=kappa,
+        loglog_term=kappa * math.log(math.log(snr)),
+        lower_bound=float(sum(term for term, _ in terms)),
+        upper_bound=None,
+        per_level_terms=tuple(terms),
+        constants={"frob_second_moment": frob2, "levels": level_details},
+        alloc=alloc,
+    )
 
 
 def scheme_rate_lower_bound(
@@ -254,54 +335,10 @@ def scheme_rate_lower_bound(
     guarantee already prices interference into its noise term.
     """
     validate_chain(topo, chain)
-    kappa = len(chain)
-    if kappa == 0:
+    if len(chain) == 0:
         raise ValueError("chain must have at least one member")
-    alloc = allocation(snr, kappa)
-    frob2 = model.frob_second_moment
-    terms = []
-    level_details = []
-    for nu in range(1, kappa + 1):
-        t = chain.transmitters[nu - 1]
-        r = chain.witnesses[nu - 1]
-        x_min, x_max = alloc.levels[nu - 1]
-        variance = model.entry_variance(r, t)
-        e_log_h2 = log_h_squared_mean(model.entry_mean(r, t), variance)
-        sigma_w = math.sqrt(effective_noise_variance(nu, alloc, frob2))
-        term = scalar_mi_lower_bound(x_min, x_max, math.sqrt(variance), sigma_w, e_log_h2)
-        interferers = [
-            (r, chain.transmitters[eta - 1])
-            for eta in range(nu + 1, kappa + 1)
-            if (r, chain.transmitters[eta - 1]) not in topo.zeros
-        ]
-        eps2 = model.conditional_variance((r, t), interferers)
-        penalty = interference_penalty(nu, alloc, frob2, eps2)
-        terms.append((term, penalty))
-        level_details.append(
-            {
-                "level": nu,
-                "transmitter": t,
-                "witness": r,
-                "x_min": x_min,
-                "x_max": x_max,
-                "sigma_h": math.sqrt(variance),
-                "sigma_w": sigma_w,
-                "e_log_h2": e_log_h2,
-                "eps2": eps2,
-                "rate_term": term,
-                "interference_penalty": penalty,
-            }
-        )
-    lower = float(sum(term for term, _ in terms))
-    return BoundReport(
-        snr=snr,
-        kappa=kappa,
-        loglog_term=kappa * math.log(math.log(snr)),
-        lower_bound=lower,
-        upper_bound=None,
-        per_level_terms=tuple(terms),
-        constants={"frob_second_moment": frob2, "levels": level_details},
-    )
+    alloc = allocation(snr, len(chain))
+    return _scheme_report(_chain_levels(topo, chain, model), model.frob_second_moment, alloc)
 
 
 def alpha_penalty(alpha: float) -> float:
@@ -355,6 +392,31 @@ def duality_upper_bound(
         if any((r, t_star) in topo.zeros for r in rx):
             raise ValueError(f"t_star {t_star} is not heard by every receiver in the block")
 
+    return _duality_phase(topo, model, rx, tx, t_star).upper_bound(snr)
+
+
+@dataclass(frozen=True)
+class _Phase:
+    """:func:`duality_upper_bound` on one block, less its budget-dependent
+    alpha term: ``head`` is n_r log pi - log Gamma(n_r) + sup + 1."""
+
+    head: float
+    log_frob2: float
+    log_nr: float
+    digamma_nr: float
+
+    def upper_bound(self, snr: float) -> float:
+        if snr == 0:
+            log_energy = self.log_nr
+        else:
+            log_energy = float(np.logaddexp(self.log_frob2 + math.log(snr), self.log_nr))
+        delta = 1.0 + log_energy - self.digamma_nr
+        return self.head + alpha_penalty(1.0 / delta)
+
+
+def _duality_phase(
+    topo: Topology, model: FadingModel, rx: list[int], tx: list[int], t_star: int
+) -> _Phase:
     n_r = len(rx)
     n_t = len(tx)
     block_entries = [(r, t) for r in rx for t in tx if (r, t) not in topo.zeros]
@@ -383,11 +445,12 @@ def duality_upper_bound(
 
     switch = _LOG_PI_E - h_cond / n_r  # where the two floors cross
     sup_term = _golden_max(gain, switch - 60.0, switch + 60.0)
-
-    log_energy = log_nr if snr == 0 else float(np.logaddexp(math.log(frob2) + math.log(snr), log_nr))
-    delta = 1.0 + log_energy - float(special.digamma(n_r))
-    alpha = 1.0 / delta
-    return n_r * _LOG_PI - float(special.gammaln(n_r)) + sup_term + 1.0 + alpha_penalty(alpha)
+    return _Phase(
+        head=n_r * _LOG_PI - float(special.gammaln(n_r)) + sup_term + 1.0,
+        log_frob2=math.log(frob2),
+        log_nr=log_nr,
+        digamma_nr=float(special.digamma(n_r)),
+    )
 
 
 def _golden_max(f, lo: float, hi: float, *, tol: float = 1e-10) -> float:
@@ -408,24 +471,42 @@ def _golden_max(f, lo: float, hi: float, *, tol: float = 1e-10) -> float:
     return max(f(0.5 * (a + b)), fc, fd)
 
 
-def converse_envelope_report(topo: Topology, model: FadingModel, snr: float) -> dict:
-    """Converse upper envelope with its breakdown, for the identity ordering.
+@dataclass(frozen=True)
+class Plan:
+    """Everything the bounds of one network need that does not depend on the
+    budget: the longest chain, each chain level's witness statistics, and
+    the converse's per-phase constants, cross-block MIs and log n_t!.
 
-    Phase nu of the identity-ordering decomposition is bounded by
-    :func:`duality_upper_bound` on the block of its receiver group against
-    all not-yet-decoded transmitters; the cross-phase coupling of the fading
-    matrix is priced by block mutual informations, and the receiver's freedom
-    to re-sort the transmitters costs at most log n_t!.  The headline shape is
-    kappa_star * log(1 + log(1 + E)) plus everything else folded into a
-    bounded constant.
+    Built once by :func:`plan`; :func:`evaluate` adds the budget-dependent
+    half at each grid point.
+    """
+
+    chain: PowerChain
+    frob2: float
+    levels: tuple[_ChainLevel, ...]
+    phases: tuple[_Phase, ...]
+    cross_block_mi: tuple[float, ...]
+    log_permutation_count: float
+
+    @property
+    def kappa_star(self) -> int:
+        return len(self.chain)
+
+
+def plan(topo: Topology, model: FadingModel) -> Plan:
+    """The budget-free half of both bounds, from one :func:`longest_chain` call.
+
+    The converse decomposes along the identity ordering: phase nu is the
+    duality bound on the block of its receiver group against all
+    not-yet-decoded transmitters, and the cross-phase coupling of the fading
+    matrix is priced by block mutual informations.
     """
     from .fading import block_mutual_information  # local import to keep module load light
 
     if not topo.is_pruned:
         raise ValueError("converse envelope requires a pruned topology")
     decomp = decompose(topo, tuple(range(1, topo.n_t + 1)))
-    kappa_star, _ = longest_chain(topo)
-    loglog = math.log1p(math.log1p(snr))
+    _, chain = longest_chain(topo)
 
     remaining: list[set[int]] = []
     tail: set[int] = set()
@@ -434,41 +515,71 @@ def converse_envelope_report(topo: Topology, model: FadingModel, snr: float) -> 
         remaining.append(set(tail))
     remaining.reverse()
 
-    per_phase = []
+    phases = []
     cross_terms = []
     for k in range(decomp.kappa):
         rx = sorted(decomp.receiver_blocks[k])
         tx = sorted(remaining[k])
-        per_phase.append(
-            duality_upper_bound(
-                topo,
-                model,
-                snr,
-                t_star=decomp.chain.transmitters[k],
-                receivers=rx,
-                transmitters=tx,
-            )
-        )
+        # chain member k hears its whole receiver block by construction
+        phases.append(_duality_phase(topo, model, rx, tx, decomp.chain.transmitters[k]))
         if k < decomp.kappa - 1:
             later_rx = set().union(*decomp.receiver_blocks[k + 1 :])
             a = [(r, t) for r in rx for t in tx if (r, t) not in topo.zeros]
             b = [(r, t) for r in sorted(later_rx) for t in tx if (r, t) not in topo.zeros]
             cross_terms.append(block_mutual_information(model, a, b))
+    return Plan(
+        chain=chain,
+        frob2=model.frob_second_moment,
+        levels=_chain_levels(topo, chain, model),
+        phases=tuple(phases),
+        cross_block_mi=tuple(cross_terms),
+        log_permutation_count=float(special.gammaln(topo.n_t + 1)),
+    )
 
-    log_perm = float(special.gammaln(topo.n_t + 1))
-    constant = sum(u - loglog for u in per_phase) + sum(cross_terms) + log_perm
+
+def _converse_report(plan: Plan, snr: float) -> dict:
+    loglog = math.log1p(math.log1p(snr))
+    per_phase = [phase.upper_bound(snr) for phase in plan.phases]
+    constant = (
+        sum(u - loglog for u in per_phase) + sum(plan.cross_block_mi) + plan.log_permutation_count
+    )
     return {
         "snr": snr,
-        "kappa_star": kappa_star,
-        "loglog_term": kappa_star * loglog,
+        "kappa_star": plan.kappa_star,
+        "loglog_term": plan.kappa_star * loglog,
         "constant": constant,
         "per_phase_upper": per_phase,
-        "cross_block_mi": cross_terms,
-        "log_permutation_count": log_perm,
-        "value": kappa_star * loglog + constant,
+        "cross_block_mi": list(plan.cross_block_mi),
+        "log_permutation_count": plan.log_permutation_count,
+        "value": plan.kappa_star * loglog + constant,
     }
+
+
+def converse_envelope_report(topo: Topology, model: FadingModel, snr: float) -> dict:
+    """Converse upper envelope with its breakdown, for the identity ordering.
+
+    Each phase of :func:`plan`'s decomposition is bounded by
+    :func:`duality_upper_bound`, the cross-phase coupling adds block mutual
+    informations, and the receiver's freedom to re-sort the transmitters
+    costs at most log n_t!.  The headline shape is
+    kappa_star * log(1 + log(1 + E)) plus everything else folded into a
+    bounded constant.
+    """
+    return _converse_report(plan(topo, model), snr)
 
 
 def converse_envelope(topo: Topology, model: FadingModel, snr: float) -> float:
     """Converse upper envelope (nats); see :func:`converse_envelope_report`."""
     return float(converse_envelope_report(topo, model, snr)["value"])
+
+
+def evaluate(plan: Plan, snr: float) -> BoundReport:
+    """Both bounds at budget ``snr``: :func:`scheme_rate_lower_bound` along the
+    plan's chain, with :func:`converse_envelope` as ``upper_bound``.
+
+    Raises:
+        AllocationInfeasibleError: below :func:`min_valid_snr` of kappa*.
+    """
+    alloc = allocation(snr, plan.kappa_star)
+    report = _scheme_report(plan.levels, plan.frob2, alloc)
+    return dataclasses.replace(report, upper_bound=_converse_report(plan, snr)["value"])

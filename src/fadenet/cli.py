@@ -18,15 +18,10 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import (
-    AllocationInfeasibleError,
-    allocation,
-    converse_envelope,
-    scheme_rate_lower_bound,
-)
+from .bounds import AllocationInfeasibleError, Plan, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, decompose, longest_chain
-from .simulate import fit_loglog_slope, records_to_csv, records_to_json, snr_sweep
+from .simulate import _to_csv, fit_loglog_slope, records_to_csv, records_to_json, snr_sweep
 from .topology import Topology, load_topology, parse_generator_spec
 
 _EXIT_OK = 0
@@ -141,6 +136,8 @@ def _parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("--grid wants START,STOP,POINTS")
     start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("grid exponents must be finite")
     points = int(parts[2])
     if points < 1:
         raise ValueError("grid needs at least one point")
@@ -195,63 +192,40 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _bounds_row(bounds_plan: Plan, snr: float) -> dict:
+    try:
+        return {**evaluate(bounds_plan, snr).to_json_dict(), "feasible": True}
+    except AllocationInfeasibleError as exc:
+        return {
+            "snr": snr,
+            "kappa": bounds_plan.kappa_star,
+            "feasible": False,
+            "note": f"below feasibility threshold {exc.threshold:.6g}",
+        }
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     topo = _load_topo(args)
     model = _load_model(args, topo)
     grid = _parse_grid(args.grid)
-    kappa_star, chain = longest_chain(topo)
-    reports = []
-    feasible_any = False
-    for snr in grid:
-        try:
-            allocation(snr, kappa_star)
-        except AllocationInfeasibleError as exc:
-            reports.append(
-                {
-                    "snr": snr,
-                    "kappa": kappa_star,
-                    "feasible": False,
-                    "note": f"below feasibility threshold {exc.threshold:.6g}",
-                }
-            )
-            continue
-        feasible_any = True
-        report = scheme_rate_lower_bound(topo, chain, model, snr)
-        upper = converse_envelope(topo, model, snr)
-        doc = report.to_json_dict()
-        doc["upper_bound"] = upper
-        doc["feasible"] = True
-        reports.append(doc)
-    if not feasible_any:
+    bounds_plan = plan(topo, model)
+    rows = [_bounds_row(bounds_plan, snr) for snr in grid]
+    if not any(row["feasible"] for row in rows):
         print("every grid point is below the feasibility threshold", file=sys.stderr)
         return _EXIT_INFEASIBLE
 
     if args.format == "json":
-        _emit(json.dumps(reports, indent=2) + "\n", args.out)
+        _emit(json.dumps(rows, indent=2) + "\n", args.out)
     else:
-        lines = ["E,kappa,loglog,lower,upper,feasible"]
-        for doc in reports:
-            if doc["feasible"]:
-                cells = (
-                    repr(doc["snr"]),
-                    str(doc["kappa"]),
-                    repr(doc["loglog_term"]),
-                    repr(doc["lower_bound"]),
-                    repr(doc["upper_bound"]),
-                    "true",
-                )
-            else:
-                cells = (repr(doc["snr"]), str(doc["kappa"]), "", "", "", "false")
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.out)
+        keys = ("snr", "kappa", "loglog_term", "lower_bound", "upper_bound", "feasible")
+        cells = [tuple(row.get(key) for key in keys) for row in rows]
+        _emit(_to_csv([("E", "kappa", "loglog", "lower", "upper", "feasible")] + cells), args.out)
 
     if args.plot_data:
-        rows = [
-            f"{repr(math.log(math.log(doc['snr'])))},{repr(doc['lower_bound'])}"
-            for doc in reports
-            if doc["feasible"]
+        points = [
+            (math.log(math.log(row["snr"])), row["lower_bound"]) for row in rows if row["feasible"]
         ]
-        Path(args.plot_data).write_text("\n".join(rows) + "\n")
+        Path(args.plot_data).write_text(_to_csv(points))
     return _EXIT_OK
 
 

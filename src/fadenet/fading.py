@@ -29,7 +29,6 @@ from .topology import Topology
 
 __all__ = [
     "FadingModel",
-    "sample_matrix",
     "log_h_squared_mean",
     "log_h_squared_mean_mc",
     "block_mutual_information",
@@ -79,10 +78,9 @@ class FadingModel:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariance", cov)
         try:
-            chol = np.linalg.cholesky(cov)
+            np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
-        object.__setattr__(self, "_chol", chol)
         if self.ar1_rho is not None:
             rho = float(self.ar1_rho)
             if not 0.0 <= rho < 1.0:
@@ -193,21 +191,6 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) / math.sqrt(2.0)
-
-
-def sample_matrix(model: FadingModel, seed) -> np.ndarray:
-    """Draw one fading matrix; zero-pattern positions are exactly zero.
-
-    ``seed`` may be an integer or a ``numpy.random.Generator``; results are
-    deterministic for a fixed integer seed.
-    """
-    rng = _as_generator(seed)
-    w = _standard_complex(rng, len(model.entries))
-    values = model.means + model._chol @ w  # type: ignore[attr-defined]
-    h = np.zeros((model.topo.n_r, model.topo.n_t), dtype=np.complex128)
-    for value, (r, t) in zip(values, model.entries):
-        h[r - 1, t - 1] = value
-    return h
 
 
 def log_h_squared_mean(mean: complex, variance: float, *, method: str = "auto") -> float:
@@ -334,37 +317,24 @@ def fading_model_from_dict(topo: Topology, doc: dict) -> FadingModel:
     """
     if not isinstance(doc, dict):
         raise ValueError("fading model document must be a JSON object")
-    pairs = topo.nonzero_pairs()
-    index = {pair: i for i, pair in enumerate(pairs)}
-    means = np.zeros(len(pairs), dtype=np.complex128)
-    seen: set[tuple[int, int]] = set()
+    means: dict[tuple[int, int], complex] = {}
     for row in doc.get("means", []):
         if not (isinstance(row, (list, tuple)) and len(row) == 4):
             raise ValueError(f"malformed mean entry {row!r}; expected [r, t, re, im]")
-        r, t = int(row[0]), int(row[1])
-        if (r, t) not in index:
-            raise ValueError(f"mean entry ({r}, {t}) is not a fading entry")
-        if (r, t) in seen:
-            raise ValueError(f"duplicate mean entry ({r}, {t})")
-        seen.add((r, t))
-        means[index[(r, t)]] = float(row[2]) + 1j * float(row[3])
+        key = (int(row[0]), int(row[1]))
+        if key in means:
+            raise ValueError(f"duplicate mean entry {key}")
+        means[key] = float(row[2]) + 1j * float(row[3])
+    cov = None
     if "covariance" in doc:
-        raw = doc["covariance"]
         try:
             cov = np.asarray(
-                [[complex(cell[0], cell[1]) for cell in row] for row in raw],
+                [[complex(cell[0], cell[1]) for cell in row] for row in doc["covariance"]],
                 dtype=np.complex128,
             )
         except (TypeError, IndexError) as exc:
             raise ValueError("covariance cells must be [re, im] pairs") from exc
-        if cov.shape != (len(pairs), len(pairs)):
-            raise ValueError(
-                f"covariance must be {len(pairs)}x{len(pairs)} over sorted fading entries"
-            )
-    else:
-        cov = np.eye(len(pairs), dtype=np.complex128)
-    rho = doc.get("ar1_rho")
-    return FadingModel(topo=topo, means=means, covariance=cov, ar1_rho=rho)
+    return FadingModel.from_mapping(topo, means, cov, doc.get("ar1_rho"))
 
 
 def load_fading_model(path: str | Path, topo: Topology) -> FadingModel:

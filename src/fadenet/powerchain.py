@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
 
 from .topology import Topology
 
@@ -21,7 +20,6 @@ __all__ = [
     "SizeGuardError",
     "PowerChain",
     "ChainDecomposition",
-    "order_permutation",
     "is_power_chain",
     "longest_chain",
     "brute_force_kappa",
@@ -63,19 +61,6 @@ def validate_chain(topo: Topology, chain: PowerChain) -> None:
         if r not in fresh:
             raise ValueError(f"witness {r} for transmitter {t} is not newly reached")
         covered |= topo.hearers(t)
-
-
-def order_permutation(x: Sequence[complex]) -> tuple[int, ...]:
-    """Permutation of 1..n sorting ``x`` by descending magnitude.
-
-    Ties go to the lower original index, so the result is a deterministic
-    function of the magnitudes.
-    """
-    mags = np.abs(np.asarray(x))
-    if mags.ndim != 1 or mags.size == 0:
-        raise ValueError("order_permutation expects a non-empty vector")
-    order = np.argsort(-mags, kind="stable")
-    return tuple(int(i) + 1 for i in order)
 
 
 def is_power_chain(topo: Topology, transmitters: Sequence[int]) -> bool:

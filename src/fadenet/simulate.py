@@ -1,21 +1,26 @@
-"""Monte Carlo estimation of the layered scheme's per-level rates.
+"""Monte Carlo estimation of the layered scheme's per-level rates, and the
+SNR sweep that sets them beside the analytic bounds.
 
-Outer samples come from the true channel and the estimate averages
-log f(y|x) - log f(y) over them.  On an interferer-free level the output is
-complex Gaussian given |x|, and log|x| is uniform on the level window, so the
-marginal f(y) is a smooth one-dimensional integral; it is evaluated by
-deterministic composite Gauss-Legendre quadrature over s = log|x|, with the
-input phase averaged exactly (a Bessel factor when the fading has a mean).
-A level whose witness hears one zero-mean interferer uncorrelated with the
-witness entry is Gaussian given both input magnitudes, so f(y|x) is a
-one-dimensional rule over the interferer's log-magnitude and f(y) a tensor
-rule over both.  Levels with more interferers or a dependent one, and
-callers that supply their own magnitude law, use a nested plug-in instead:
-both densities are approximated by Gaussian-mixture averages over fresh
-inner draws of whatever the density does not condition on.  Conditioned on
-the interfering fading entries and inputs the output is exactly complex
-Gaussian, so every mixture component is closed form and the only
-approximation error is Monte Carlo.
+Chain level nu's input has a log-uniform magnitude on the level's window of
+the allocation and a uniform phase (``_level_inputs``).  Outer samples come
+from the true channel and the estimate averages log f(y|x) - log f(y) over
+them.  On an interferer-free level the output is complex Gaussian given |x|,
+and log|x| is uniform on the level window, so the marginal f(y) is a smooth
+one-dimensional integral; it is evaluated by deterministic composite
+Gauss-Legendre quadrature over s = log|x|, with the input phase averaged
+exactly (a Bessel factor when the fading has a mean).  A level whose witness
+hears one zero-mean interferer uncorrelated with the witness entry is
+Gaussian given both input magnitudes, so f(y|x) is a one-dimensional rule
+over the interferer's log-magnitude and f(y) a tensor rule over both.
+Levels with more interferers or a dependent one, and callers that supply
+their own magnitude law, use a nested plug-in instead: both densities are
+approximated by Gaussian-mixture averages over fresh inner draws of whatever
+the density does not condition on.  Conditioned on the interfering fading
+entries and inputs the output is exactly complex Gaussian, so every mixture
+component is closed form and the only approximation error is Monte Carlo.
+
+A sweep evaluates the bounds through :func:`fadenet.bounds.evaluate` on one
+budget-free plan of the network, and adds the summed per-level estimates.
 
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
@@ -28,28 +33,19 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import i0e, logsumexp
 
-from .bounds import (
-    AllocationInfeasibleError,
-    PowerAllocation,
-    allocation,
-    converse_envelope,
-    scheme_rate_lower_bound,
-)
-from .fading import FadingModel, _as_generator, _standard_complex, sample_matrix
-from .powerchain import PowerChain, longest_chain, validate_chain
+from .bounds import AllocationInfeasibleError, Plan, PowerAllocation, evaluate, plan
+from .fading import FadingModel, _as_generator, _standard_complex
+from .powerchain import PowerChain, validate_chain
 from .topology import Topology
 
 __all__ = [
-    "InputLaw",
     "MiEstimate",
     "SweepRecord",
-    "sample_input",
-    "sample_output",
     "estimate_pair_mi",
     "snr_sweep",
     "records_to_csv",
@@ -71,28 +67,6 @@ _GL_RICIAN_PANELS = 2.5
 _QUADRATURE_ELEMENTS = 1 << 17
 
 
-@dataclass(frozen=True)
-class InputLaw:
-    """Input distribution of the layered scheme.
-
-    Chain member nu transmits with log-uniform squared magnitude on level
-    nu's window and uniform phase; every other transmitter is exactly zero.
-    """
-
-    n_t: int
-    chain: PowerChain
-    alloc: PowerAllocation
-
-    def __post_init__(self) -> None:
-        if len(self.chain) != self.alloc.kappa:
-            raise ValueError("chain length and allocation level count differ")
-        seen = set(self.chain.transmitters)
-        if len(seen) != len(self.chain):
-            raise ValueError("chain transmitters must be distinct")
-        if not seen <= set(range(1, self.n_t + 1)):
-            raise ValueError("chain transmitter out of range")
-
-
 def _level_magnitudes(
     rng: np.random.Generator, x_min: float, x_max: float, shape
 ) -> np.ndarray:
@@ -106,33 +80,6 @@ def _level_inputs(
     mags = _level_magnitudes(rng, x_min, x_max, shape)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=shape)
     return mags * np.exp(1j * phases)
-
-
-def sample_input(law: InputLaw, seed, size: int | None = None) -> np.ndarray:
-    """One input vector (or ``size`` stacked rows) drawn from the law.
-
-    Off-chain components are exactly zero, not merely small.
-    """
-    rng = _as_generator(seed)
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError("size must be positive")
-    x = np.zeros((n, law.n_t), dtype=complex)
-    for level, t in enumerate(law.chain.transmitters, start=1):
-        x_min, x_max = law.alloc.levels[level - 1]
-        x[:, t - 1] = _level_inputs(rng, x_min, x_max, n)
-    return x[0] if size is None else x
-
-
-def sample_output(model: FadingModel, x: np.ndarray, seed) -> np.ndarray:
-    """One channel use: y = Hx + z with a fresh fading draw and CN(0,1) noise."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (model.topo.n_t,):
-        raise ValueError(f"input must have shape ({model.topo.n_t},), got {x.shape}")
-    rng = _as_generator(seed)
-    h = sample_matrix(model, rng)
-    z = _standard_complex(rng, (model.topo.n_r,))
-    return h @ x + z
 
 
 class MiEstimate(NamedTuple):
@@ -416,16 +363,15 @@ class SweepRecord:
 
 
 def _sweep_point(
-    topo: Topology,
+    bounds_plan: Plan,
     model: FadingModel,
-    chain: PowerChain,
-    kappa_star: int,
     index: int,
     snr: float,
     n_outer: int,
     m_inner: int,
     root_seed: int,
 ) -> SweepRecord:
+    kappa_star = bounds_plan.kappa_star
     loglog = kappa_star * math.log(math.log(snr)) if snr > math.e else None
     base = {
         "snr": snr,
@@ -435,7 +381,7 @@ def _sweep_point(
         "seed": root_seed,
     }
     try:
-        alloc = allocation(snr, kappa_star)
+        report = evaluate(bounds_plan, snr)
     except AllocationInfeasibleError as exc:
         return SweepRecord(
             loglog_term=loglog,
@@ -447,15 +393,13 @@ def _sweep_point(
             note=f"below feasibility threshold {exc.threshold:.6g}",
             **base,
         )
-    lower = scheme_rate_lower_bound(topo, chain, model, snr).lower_bound
-    upper = converse_envelope(topo, model, snr)
     total = 0.0
     var = 0.0
     for nu in range(1, kappa_star + 1):
         est = estimate_pair_mi(
             model,
-            chain,
-            alloc,
+            bounds_plan.chain,
+            report.alloc,
             nu,
             n_outer,
             m_inner,
@@ -465,10 +409,10 @@ def _sweep_point(
         var += est.stderr**2
     return SweepRecord(
         loglog_term=loglog,
-        analytic_lower=lower,
+        analytic_lower=report.lower_bound,
         mc_estimate=total,
         mc_stderr=math.sqrt(var),
-        analytic_upper=upper,
+        analytic_upper=report.upper_bound,
         feasible=True,
         **base,
     )
@@ -508,12 +452,10 @@ def snr_sweep(
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    kappa_star, chain = longest_chain(topo)
+    bounds_plan = plan(topo, model)
 
     def point(i: int) -> SweepRecord:
-        return _sweep_point(
-            topo, model, chain, kappa_star, i, grid[i], n_outer, m_inner, root_seed
-        )
+        return _sweep_point(bounds_plan, model, i, grid[i], n_outer, m_inner, root_seed)
 
     if workers == 1:
         return [point(i) for i in range(len(grid))]
@@ -531,30 +473,34 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def records_to_csv(records: Sequence[SweepRecord]) -> str:
-    """Render sweep records as CSV with a fixed schema.
+def _to_csv(rows: Iterable[Sequence]) -> str:
+    """CSV text with one line per row of cells.
 
     Floats are written with repr, the shortest round-trip form, so equal
-    records always produce equal bytes.
+    values always produce equal bytes.
     """
-    lines = ["E,kappa_star,loglog,lower,mc,mc_stderr,upper,feasible"]
-    for rec in records:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    rec.snr,
-                    rec.kappa_star,
-                    rec.loglog_term,
-                    rec.analytic_lower,
-                    rec.mc_estimate,
-                    rec.mc_stderr,
-                    rec.analytic_upper,
-                    rec.feasible,
-                )
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+
+
+def records_to_csv(records: Sequence[SweepRecord]) -> str:
+    """Render sweep records as CSV with a fixed schema."""
+    header = ("E", "kappa_star", "loglog", "lower", "mc", "mc_stderr", "upper", "feasible")
+    return _to_csv(
+        [header]
+        + [
+            (
+                rec.snr,
+                rec.kappa_star,
+                rec.loglog_term,
+                rec.analytic_lower,
+                rec.mc_estimate,
+                rec.mc_stderr,
+                rec.analytic_upper,
+                rec.feasible,
             )
-        )
-    return "\n".join(lines) + "\n"
+            for rec in records
+        ]
+    )
 
 
 def records_to_json(records: Sequence[SweepRecord]) -> str:

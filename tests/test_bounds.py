@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,8 +14,10 @@ from fadenet.bounds import (
     converse_envelope_report,
     duality_upper_bound,
     effective_noise_variance,
+    evaluate,
     interference_penalty,
     min_valid_snr,
+    plan,
     scalar_mi_lower_bound,
     scheme_rate_lower_bound,
 )
@@ -307,6 +310,36 @@ class TestConverseEnvelope:
         assert report["per_phase_upper"][1] == pytest.approx(phase2, rel=1e-12)
         assert report["cross_block_mi"] == [0.0]
         assert report["log_permutation_count"] == pytest.approx(math.log(2.0), rel=1e-12)
+
+
+class TestPlan:
+    @pytest.fixture
+    def z_channel(self):
+        # receiver 1 hears both transmitters, receiver 2 only the second;
+        # entries in sorted order: (1, 1), (1, 2), (2, 2).  Rician means and
+        # a correlated covariance reach eps2, the duality phases and the
+        # cross-block MI
+        topo = Topology(n_t=2, n_r=2, zeros=frozenset({(2, 1)}))
+        cov = np.array(
+            [[1.0, 0.3 + 0.1j, 0.2], [0.3 - 0.1j, 1.5, 0.1 + 0.2j], [0.2, 0.1 - 0.2j, 1.0]]
+        )
+        means = {(1, 1): 1.0 + 0.5j, (1, 2): 0.3 - 0.2j, (2, 2): -0.8j}
+        return topo, FadingModel.from_mapping(topo, means=means, covariance=cov)
+
+    @pytest.mark.parametrize("snr", [1e8, 1e12, 1e16])
+    def test_evaluate_equals_the_public_bounds(self, z_channel, snr):
+        topo, model = z_channel
+        _, chain = longest_chain(topo)
+        report = evaluate(plan(topo, model), snr)
+        lower = scheme_rate_lower_bound(topo, chain, model, snr)
+        assert report.lower_bound == lower.lower_bound
+        assert report.upper_bound == converse_envelope(topo, model, snr)
+        assert dataclasses.replace(report, upper_bound=None) == lower
+        assert converse_envelope_report(topo, model, snr)["cross_block_mi"][0] > 0.0
+
+    def test_evaluate_below_threshold_raises(self, z_channel):
+        with pytest.raises(AllocationInfeasibleError):
+            evaluate(plan(*z_channel), 1e6)
 
 
 def _parse(spec):

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from fadenet import powerchain
 from fadenet.cli import main
 from fadenet.topology import generate, save_topology
 
@@ -142,6 +144,10 @@ class TestBounds:
         assert code == 2
         code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "8,9,1")
         assert code == 2
+        for grid in ("nan,16,3", "8,nan,3", "8,inf,3"):
+            code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", grid)
+            assert code == 2
+            assert "finite" in err
 
     def test_threshold_overflow_is_input_error(self, capsys):
         # min_valid_snr overflows a double for kappa* = 12
@@ -174,6 +180,14 @@ class TestSweep:
         )
         assert code == 2
         assert "capped" in err
+
+    def test_non_finite_grid(self, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--gen", "full:1,1", "--grid", "nan,16,3",
+            "--seed", "1", "--outer", "400", "--inner", "120",
+        )
+        assert code == 2
+        assert "finite" in err
 
     def test_csv_and_summary(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -233,3 +247,33 @@ class TestSweep:
             "--seed", "1", "--outer", "400", "--inner", "120",
         )
         assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--gen", "diagonal:2", "--grid", "8,16,5"],
+        ["sweep", "--gen", "diagonal:2", "--grid", "8,10,2", "--seed", "1",
+         "--outer", "400", "--inner", "120"],
+    ],
+)
+def test_longest_chain_runs_once_per_grid_command(capsys, monkeypatch, argv):
+    original = powerchain.longest_chain
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # patch every module-level name the function is looked up by
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name == "fadenet" or name.startswith("fadenet."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched.append(f"{name}.{attr}")
+    assert "fadenet.powerchain.longest_chain" in patched
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1

@@ -13,7 +13,6 @@ from fadenet.fading import (
     log_h_squared_mean,
     log_h_squared_mean_mc,
     memory_gap_ar1,
-    sample_matrix,
     save_fading_model,
 )
 from fadenet.topology import generate
@@ -92,34 +91,6 @@ def test_conditional_variance_complex_coupling():
     cov = np.array([[1.0, c], [np.conj(c), 1.0]], dtype=complex)
     model = FadingModel.from_mapping(topo, covariance=cov)
     assert model.conditional_variance((1, 1), [(1, 2)]) == pytest.approx(0.75)
-
-
-def test_sample_matrix_respects_zero_pattern():
-    topo = generate("diagonal", 3)
-    model = FadingModel.iid_rayleigh(topo)
-    h = sample_matrix(model, seed=5)
-    assert h.shape == (3, 3)
-    off = h[~topo.hearing]
-    assert np.all(off == 0)
-    assert np.all(h[topo.hearing] != 0)
-    assert np.array_equal(sample_matrix(model, seed=5), h)
-    assert not np.array_equal(sample_matrix(model, seed=6), h)
-
-
-def test_sample_matrix_moments():
-    topo = generate("full", 2, 1)
-    mu = 2.0 - 1.0j
-    cov = np.array([[1.0, 0.6], [0.6, 2.0]], dtype=complex)
-    model = FadingModel.from_mapping(topo, means={(1, 1): mu}, covariance=cov)
-    rng = np.random.default_rng(11)
-    samples = np.stack([sample_matrix(model, rng) for _ in range(4000)])
-    h1 = samples[:, 0, 0]
-    h2 = samples[:, 0, 1]
-    assert np.mean(h1) == pytest.approx(mu, abs=0.08)
-    assert np.var(h1) == pytest.approx(1.0, abs=0.08)
-    assert np.var(h2) == pytest.approx(2.0, abs=0.12)
-    cross = np.mean((h1 - h1.mean()) * np.conj(h2 - h2.mean()))
-    assert cross == pytest.approx(0.6, abs=0.1)
 
 
 def test_log_h_squared_mean_zero_mean_closed_form():
@@ -206,11 +177,23 @@ def test_deserialization_validates(tmp_path):
     doc = fading_model_to_dict(FadingModel.iid_rayleigh(topo))
     bad = dict(doc)
     bad["means"] = [[1, 2, 0.0, 0.0]]  # (1,2) is a structural zero
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a fading entry"):
         fading_model_from_dict(topo, bad)
     bad = dict(doc)
     bad["means"] = [[1, 1, 0.0, 0.0], [1, 1, 0.0, 0.0]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate"):
+        fading_model_from_dict(topo, bad)
+    bad = dict(doc)
+    bad["means"] = [[1, 1, 0.0]]
+    with pytest.raises(ValueError, match="malformed"):
+        fading_model_from_dict(topo, bad)
+    bad = dict(doc)
+    bad["covariance"] = [[[1.0, 0.0]]]  # 1x1 for two fading entries
+    with pytest.raises(ValueError, match="covariance must be"):
+        fading_model_from_dict(topo, bad)
+    bad = dict(doc)
+    bad["covariance"] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match=r"\[re, im\]"):
         fading_model_from_dict(topo, bad)
     bad = dict(doc)
     bad.pop("covariance")

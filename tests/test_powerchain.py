@@ -12,37 +12,9 @@ from fadenet.powerchain import (
     decompose,
     is_power_chain,
     longest_chain,
-    order_permutation,
     validate_chain,
 )
 from fadenet.topology import Topology, generate, parse_generator_spec, prune
-
-
-def test_order_permutation_sorts_by_magnitude():
-    x = np.array([1.0, 3.0, 2.0], dtype=complex)
-    assert order_permutation(x) == (2, 3, 1)
-
-
-def test_order_permutation_ties_break_to_lower_index():
-    x = np.array([2.0, 2.0, 5.0], dtype=complex)
-    assert order_permutation(x) == (3, 1, 2)
-    assert order_permutation(np.zeros(4, dtype=complex)) == (1, 2, 3, 4)
-
-
-def test_order_permutation_uses_magnitude_not_phase():
-    x = np.array([-4.0, 1j, 2.0 + 2.0j])
-    # magnitudes 4, 1, 2.828
-    assert order_permutation(x) == (1, 3, 2)
-
-
-@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=1, max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_order_permutation_is_permutation(values):
-    x = np.array(values, dtype=complex)
-    perm = order_permutation(x)
-    assert sorted(perm) == list(range(1, len(values) + 1))
-    mags = [abs(x[p - 1]) for p in perm]
-    assert all(a >= b for a, b in zip(mags, mags[1:]))
 
 
 def test_is_power_chain_on_wyner():

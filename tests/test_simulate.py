@@ -7,20 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.special import i0e
+from scipy.stats import kstest
 
 from fadenet import simulate
 from fadenet.bounds import allocation, scalar_mi_lower_bound
 from fadenet.fading import FadingModel, log_h_squared_mean
 from fadenet.powerchain import PowerChain, longest_chain
 from fadenet.simulate import (
-    InputLaw,
     SweepRecord,
     estimate_pair_mi,
     fit_loglog_slope,
     records_to_csv,
     records_to_json,
-    sample_input,
-    sample_output,
     snr_sweep,
 )
 from fadenet.topology import Topology, generate, prune
@@ -35,105 +33,44 @@ def scalar_setup():
 
 
 class TestInputLaw:
-    def test_validation(self):
-        alloc = allocation(1e8, 2)
-        chain3 = PowerChain(transmitters=(1, 2, 3), witnesses=(1, 2, 3))
-        with pytest.raises(ValueError, match="differ"):
-            InputLaw(n_t=3, chain=chain3, alloc=alloc)
-        dup = PowerChain(transmitters=(1, 1), witnesses=(1, 2))
-        with pytest.raises(ValueError, match="distinct"):
-            InputLaw(n_t=2, chain=dup, alloc=alloc)
-        out = PowerChain(transmitters=(1, 5), witnesses=(1, 2))
-        with pytest.raises(ValueError, match="range"):
-            InputLaw(n_t=2, chain=out, alloc=alloc)
-
-    def test_off_chain_entries_exactly_zero(self):
-        # kappa* = 1 in a fully connected network, so transmitter 2 is silent
-        topo = generate("full", 2, 2)
-        _, chain = longest_chain(topo)
-        law = InputLaw(n_t=2, chain=chain, alloc=allocation(1e8, 1))
-        x = sample_input(law, seed=3, size=50)
-        silent = [t for t in (1, 2) if t not in chain.transmitters]
-        assert len(silent) == 1
-        assert np.all(x[:, silent[0] - 1] == 0.0)
+    """The law every level input is drawn from, as the estimator draws it:
+    log|x| uniform on the level's window, phase uniform."""
 
     def test_magnitudes_stay_in_window(self):
-        topo = generate("diagonal", 2)
-        _, chain = longest_chain(topo)
-        alloc = allocation(1e8, 2)
-        x = sample_input(InputLaw(2, chain, alloc), seed=11, size=400)
-        for level, t in enumerate(chain.transmitters, start=1):
-            x_min, x_max = alloc.levels[level - 1]
-            mags = np.abs(x[:, t - 1])
+        rng = np.random.default_rng(11)
+        for x_min, x_max in allocation(1e8, 2).levels:
+            mags = np.abs(simulate._level_inputs(rng, x_min, x_max, 400))
             assert np.all(mags >= x_min * (1 - 1e-12))
             assert np.all(mags <= x_max * (1 + 1e-12))
 
     def test_log_power_is_uniform_on_window(self):
-        topo = generate("full", 1, 1)
-        _, chain = longest_chain(topo)
-        alloc = allocation(1e8, 1)
-        x = sample_input(InputLaw(1, chain, alloc), seed=7, size=100_000)
-        log_pow = np.log(np.abs(x[:, 0]) ** 2)
-        x_min, x_max = alloc.levels[0]
+        x_min, x_max = allocation(1e8, 1).levels[0]
+        x = simulate._level_inputs(np.random.default_rng(7), x_min, x_max, 100_000)
+        log_pow = np.log(np.abs(x) ** 2)
         lo, hi = 2 * math.log(x_min), 2 * math.log(x_max)
         # mean of a uniform on [lo, hi], 4 sigma band
         tol = 4 * (hi - lo) / math.sqrt(12 * len(log_pow))
         assert abs(log_pow.mean() - 0.5 * (lo + hi)) < tol
         assert np.all(log_pow >= lo - 1e-9)
         assert np.all(log_pow <= hi + 1e-9)
+        assert kstest((log_pow - lo) / (hi - lo), "uniform").pvalue > 1e-3
 
     def test_phase_is_uniform(self):
-        topo = generate("full", 1, 1)
-        _, chain = longest_chain(topo)
-        law = InputLaw(1, chain, allocation(1e8, 1))
-        x = sample_input(law, seed=19, size=40_000)
-        resultant = np.mean(x[:, 0] / np.abs(x[:, 0]))
+        x_min, x_max = allocation(1e8, 1).levels[0]
+        x = simulate._level_inputs(np.random.default_rng(19), x_min, x_max, 40_000)
+        resultant = np.mean(x / np.abs(x))
         assert abs(resultant) < 3 / math.sqrt(len(x))
+        assert kstest(np.angle(x) / (2 * math.pi) + 0.5, "uniform").pvalue > 1e-3
 
     def test_seed_determinism(self):
-        topo = generate("diagonal", 2)
-        _, chain = longest_chain(topo)
-        law = InputLaw(2, chain, allocation(1e8, 2))
-        a = sample_input(law, seed=5, size=10)
-        b = sample_input(law, seed=5, size=10)
-        c = sample_input(law, seed=6, size=10)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        x_min, x_max = allocation(1e8, 2).levels[1]
 
-    def test_size_handling(self):
-        topo = generate("full", 1, 1)
-        _, chain = longest_chain(topo)
-        law = InputLaw(1, chain, allocation(1e8, 1))
-        assert sample_input(law, seed=1).shape == (1,)
-        assert sample_input(law, seed=1, size=7).shape == (7, 1)
-        with pytest.raises(ValueError):
-            sample_input(law, seed=1, size=0)
+        def draw(seed):
+            return simulate._level_inputs(np.random.default_rng(seed), x_min, x_max, (10, 3))
 
-
-class TestSampleOutput:
-    def test_unfed_receiver_sees_pure_noise(self):
-        topo = generate("diagonal", 2)
-        model = FadingModel.iid_rayleigh(topo)
-        x = np.array([2.0 + 0j, 0.0 + 0j])
-        ys = np.array([sample_output(model, x, seed=s) for s in range(600)])
-        # receiver 2 hears only transmitter 2, which is silent
-        assert abs(np.mean(np.abs(ys[:, 1]) ** 2) - 1.0) < 0.25
-        # receiver 1 sees h*2 + z with total variance 5
-        assert abs(np.mean(np.abs(ys[:, 0]) ** 2) - 5.0) < 1.0
-
-    def test_shape_check(self):
-        topo = generate("diagonal", 2)
-        model = FadingModel.iid_rayleigh(topo)
-        with pytest.raises(ValueError, match="shape"):
-            sample_output(model, np.zeros(3, dtype=complex), seed=0)
-
-    def test_determinism(self):
-        topo = generate("diagonal", 2)
-        model = FadingModel.iid_rayleigh(topo)
-        x = np.array([1.0 + 0j, 1j])
-        assert np.array_equal(
-            sample_output(model, x, seed=4), sample_output(model, x, seed=4)
-        )
+        assert draw(5).shape == (10, 3)
+        assert np.array_equal(draw(5), draw(5))
+        assert not np.array_equal(draw(5), draw(6))
 
 
 def _two_point_magnitude_mi(a: float, b: float) -> float:
