@@ -255,33 +255,52 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class _ChainLevel:
-    """Budget-free statistics of one chain level's witness entry."""
+    """Budget-free statistics of one chain level's witness entry.
+
+    ``interferers`` are the weaker chain levels (1-based) the witness hears,
+    and ``interferer_entries`` their fading entries at the witness; no
+    stronger member reaches a valid chain's witness.  ``eps2`` is the witness
+    entry's variance given those entries.
+    """
 
     transmitter: int
     witness: int
+    mean: complex
     sigma_h: float
     e_log_h2: float
     eps2: float
+    interferers: tuple[int, ...]
+    interferer_entries: tuple[tuple[int, int], ...]
+
+
+def _chain_level(
+    topo: Topology, chain: PowerChain, model: FadingModel, nu: int
+) -> _ChainLevel:
+    t, r = chain.transmitters[nu - 1], chain.witnesses[nu - 1]
+    interferers = tuple(
+        eta
+        for eta in range(nu + 1, len(chain) + 1)
+        if (r, chain.transmitters[eta - 1]) not in topo.zeros
+    )
+    entries = tuple((r, chain.transmitters[eta - 1]) for eta in interferers)
+    mean = model.entry_mean(r, t)
+    variance = model.entry_variance(r, t)
+    return _ChainLevel(
+        transmitter=t,
+        witness=r,
+        mean=mean,
+        sigma_h=math.sqrt(variance),
+        e_log_h2=log_h_squared_mean(mean, variance),
+        eps2=model.conditional_variance((r, t), entries),
+        interferers=interferers,
+        interferer_entries=entries,
+    )
 
 
 def _chain_levels(
     topo: Topology, chain: PowerChain, model: FadingModel
 ) -> tuple[_ChainLevel, ...]:
-    levels = []
-    for nu, (t, r) in enumerate(zip(chain.transmitters, chain.witnesses), start=1):
-        variance = model.entry_variance(r, t)
-        # the weaker chain members this witness hears
-        interferers = [(r, u) for u in chain.transmitters[nu:] if (r, u) not in topo.zeros]
-        levels.append(
-            _ChainLevel(
-                transmitter=t,
-                witness=r,
-                sigma_h=math.sqrt(variance),
-                e_log_h2=log_h_squared_mean(model.entry_mean(r, t), variance),
-                eps2=model.conditional_variance((r, t), interferers),
-            )
-        )
-    return tuple(levels)
+    return tuple(_chain_level(topo, chain, model, nu) for nu in range(1, len(chain) + 1))
 
 
 def _scheme_report(

@@ -71,6 +71,8 @@ class FadingModel:
         cov = np.asarray(self.covariance, dtype=np.complex128)
         if cov.shape != (m, m):
             raise ValueError(f"covariance must be {m}x{m} over the fading entries")
+        if not (np.isfinite(means).all() and np.isfinite(cov).all()):
+            raise ValueError("means and covariance must be finite")
         if not np.allclose(cov, cov.conj().T, atol=_HERMITIAN_TOL):
             raise ValueError("covariance is not Hermitian")
         means.setflags(write=False)

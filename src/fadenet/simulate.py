@@ -2,7 +2,11 @@
 SNR sweep that sets them beside the analytic bounds.
 
 Chain level nu's input has a log-uniform magnitude on the level's window of
-the allocation and a uniform phase (``_level_inputs``).  Outer samples come
+the allocation and a uniform phase (``_level_inputs``, the one place that law
+is drawn).  What the level's witness hears, its mean and its conditional
+variance come from the per-level helper the analytic bounds use
+(``fadenet.bounds._chain_level``); an interferer-free level is the
+zero-interferer case of the joint witness/interferer law.  Outer samples come
 from the true channel and the estimate averages log f(y|x) - log f(y) over
 them.  On an interferer-free level the output is complex Gaussian given |x|,
 and log|x| is uniform on the level window, so the marginal f(y) is a smooth
@@ -32,13 +36,13 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import i0e, logsumexp
 
-from .bounds import AllocationInfeasibleError, Plan, PowerAllocation, evaluate, plan
+from .bounds import AllocationInfeasibleError, Plan, PowerAllocation, _chain_level, evaluate, plan
 from .fading import FadingModel, _as_generator, _standard_complex
 from .powerchain import PowerChain, validate_chain
 from .topology import Topology
@@ -67,17 +71,12 @@ _GL_RICIAN_PANELS = 2.5
 _QUADRATURE_ELEMENTS = 1 << 17
 
 
-def _level_magnitudes(
-    rng: np.random.Generator, x_min: float, x_max: float, shape
-) -> np.ndarray:
-    # log|X|^2 uniform on [log x_min^2, log x_max^2] <=> log|X| uniform
-    return np.exp(rng.uniform(math.log(x_min), math.log(x_max), size=shape))
-
-
 def _level_inputs(
     rng: np.random.Generator, x_min: float, x_max: float, shape
 ) -> np.ndarray:
-    mags = _level_magnitudes(rng, x_min, x_max, shape)
+    """The input law of one chain level: log|x| uniform on
+    [log x_min, log x_max] (so log|x|^2 is uniform too) and a uniform phase."""
+    mags = np.exp(rng.uniform(math.log(x_min), math.log(x_max), size=shape))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=shape)
     return mags * np.exp(1j * phases)
 
@@ -188,9 +187,10 @@ def estimate_pair_mi(
 
     The witness receiver sees the level-nu transmitter plus whichever weaker
     chain members it can hear; stronger members are structurally silent at it
-    (checked, not assumed).  Outer samples (x_i, y_i) come from the true
-    channel, and the standard error comes from the outer-sample variance
-    alone.
+    (guaranteed by ``validate_chain``).  The level's witness law, its
+    interferers included, comes from the same per-level helper as the
+    analytic bounds.  Outer samples (x_i, y_i) come from the true channel,
+    and the standard error comes from the outer-sample variance alone.
 
     On an interferer-free level log f(y|x) is exact and log f(y) is a
     deterministic Gauss-Legendre quadrature over log|x| with the phase
@@ -222,34 +222,19 @@ def estimate_pair_mi(
     if n_outer < _MIN_SAMPLES or m_inner < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} outer and inner samples")
 
-    r = chain.witnesses[nu - 1]
-    t = chain.transmitters[nu - 1]
-    for eta in range(1, nu):
-        if (r, chain.transmitters[eta - 1]) not in topo.zeros:
-            raise ValueError(
-                f"stronger chain member {chain.transmitters[eta - 1]} reaches witness {r}"
-            )
-
-    interferers = [
-        eta
-        for eta in range(nu + 1, kappa + 1)
-        if (r, chain.transmitters[eta - 1]) not in topo.zeros
-    ]
-    d = len(interferers)
-    mu_t = model.entry_mean(r, t)
-    if d:
-        g_entries = [(r, chain.transmitters[eta - 1]) for eta in interferers]
-        joint = model.submatrix([(r, t)] + g_entries)
-        chol_joint = np.linalg.cholesky(joint)
-        mu_g = np.array([model.entry_mean(*e) for e in g_entries])
-        mu_joint = np.concatenate(([mu_t], mu_g))
-        chol_g = np.linalg.cholesky(joint[1:, 1:])
-        # conditional mean of the witness entry: mu_t + (g - mu_g) @ coef
-        coef = np.linalg.solve(joint[1:, 1:].conj(), joint[0, 1:])
-        eps2 = model.conditional_variance((r, t), g_entries)
-        windows = [alloc.levels[eta - 1] for eta in interferers]
-    else:
-        eps2 = model.entry_variance(r, t)
+    level = _chain_level(topo, chain, model, nu)
+    d = len(level.interferers)
+    mu_t, eps2 = level.mean, level.eps2
+    # witness entry first, then the interferer entries; with d = 0 the joint
+    # law is the witness entry's alone and the interferer arrays are empty
+    joint = model.submatrix(((level.witness, level.transmitter),) + level.interferer_entries)
+    chol_joint = np.linalg.cholesky(joint)
+    mu_g = np.array([model.entry_mean(*e) for e in level.interferer_entries], dtype=complex)
+    mu_joint = np.concatenate(([mu_t], mu_g))
+    chol_g = np.linalg.cholesky(joint[1:, 1:])
+    # conditional mean of the witness entry: mu_t + (g - mu_g) @ coef
+    coef = np.linalg.solve(joint[1:, 1:].conj(), joint[0, 1:])
+    windows = [alloc.levels[eta - 1] for eta in level.interferers]
 
     x_lo, x_hi = alloc.levels[nu - 1]
     rng = _as_generator(seed)
@@ -265,16 +250,15 @@ def estimate_pair_mi(
             mu_t, eps2, x_lo, x_hi, joint[1, 1].real, windows[0]
         )
 
-    def draw_target(shape) -> np.ndarray:
+    def draw_target(shape: tuple) -> np.ndarray:
         if magnitude_sampler is None:
-            mags = _level_magnitudes(rng, x_lo, x_hi, shape)
-        else:
-            mags = np.asarray(magnitude_sampler(rng, shape), dtype=float)
-            if mags.shape != (shape if isinstance(shape, tuple) else (shape,)):
-                raise ValueError("magnitude_sampler returned wrong shape")
+            return _level_inputs(rng, x_lo, x_hi, shape)
+        mags = np.asarray(magnitude_sampler(rng, shape), dtype=float)
+        if mags.shape != shape:
+            raise ValueError("magnitude_sampler returned wrong shape")
         return mags * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=shape))
 
-    def draw_interferer_inputs(shape) -> np.ndarray:
+    def draw_interferer_inputs(shape: tuple) -> np.ndarray:
         xi = np.empty(shape + (d,), dtype=complex)
         for j, (lo, hi) in enumerate(windows):
             xi[..., j] = _level_inputs(rng, lo, hi, shape)
@@ -283,12 +267,9 @@ def estimate_pair_mi(
     def mixture_logpdf(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         # log of the m-component mixture density at y, components indexed by
         # the trailing axis of x (and the fresh interference draws)
-        if d:
-            g = mu_g + _standard_complex(rng, x.shape + (d,)) @ chol_g.T
-            xi = draw_interferer_inputs(x.shape)
-            mean = (mu_t + (g - mu_g) @ coef) * x + np.sum(g * xi, axis=-1)
-        else:
-            mean = mu_t * x
+        g = mu_g + _standard_complex(rng, x.shape + (d,)) @ chol_g.T
+        xi = draw_interferer_inputs(x.shape)
+        mean = (mu_t + (g - mu_g) @ coef) * x + np.sum(g * xi, axis=-1)
         var = 1.0 + eps2 * np.abs(x) ** 2
         comp = -np.log(math.pi * var) - np.abs(y[:, None] - mean) ** 2 / var
         return logsumexp(comp, axis=-1) - log_m
@@ -299,14 +280,10 @@ def estimate_pair_mi(
     while done < n_outer:
         n = min(chunk, n_outer - done)
         x = draw_target((n,))
-        if d:
-            # true draw: witness and interferer entries jointly, then inputs
-            hv = mu_joint + _standard_complex(rng, (n, d + 1)) @ chol_joint.T
-            xi_true = draw_interferer_inputs((n,))
-            signal = hv[:, 0] * x + np.sum(hv[:, 1:] * xi_true, axis=-1)
-        else:
-            h_t = mu_t + math.sqrt(eps2) * _standard_complex(rng, (n,))
-            signal = h_t * x
+        # true draw: witness and interferer entries jointly, then inputs
+        hv = mu_joint + _standard_complex(rng, (n, d + 1)) @ chol_joint.T
+        xi_true = draw_interferer_inputs((n,))
+        signal = hv[:, 0] * x + np.sum(hv[:, 1:] * xi_true, axis=-1)
         y = signal + _standard_complex(rng, (n,))
 
         if quadrature is None:
@@ -320,7 +297,7 @@ def estimate_pair_mi(
         vals[done : done + n] = log_cond - log_marg
         done += n
 
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_outer)) if n_outer > 1 else 0.0
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_outer))
     return MiEstimate(value=float(np.mean(vals)), stderr=stderr)
 
 
@@ -344,22 +321,6 @@ class SweepRecord:
     seed: int
     feasible: bool
     note: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "snr": self.snr,
-            "kappa_star": self.kappa_star,
-            "loglog_term": self.loglog_term,
-            "analytic_lower": self.analytic_lower,
-            "mc_estimate": self.mc_estimate,
-            "mc_stderr": self.mc_stderr,
-            "analytic_upper": self.analytic_upper,
-            "n_outer": self.n_outer,
-            "m_inner": self.m_inner,
-            "seed": self.seed,
-            "feasible": self.feasible,
-            "note": self.note,
-        }
 
 
 def _sweep_point(
@@ -504,7 +465,7 @@ def records_to_csv(records: Sequence[SweepRecord]) -> str:
 
 
 def records_to_json(records: Sequence[SweepRecord]) -> str:
-    return json.dumps([rec.to_json_dict() for rec in records], indent=2) + "\n"
+    return json.dumps([asdict(rec) for rec in records], indent=2) + "\n"
 
 
 def fit_loglog_slope(

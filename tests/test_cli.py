@@ -149,6 +149,16 @@ class TestBounds:
             assert code == 2
             assert "finite" in err
 
+    def test_non_finite_model_is_input_error(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"means": [[1, 1, NaN, 0]]}')
+        code, out, err = run(
+            capsys, "bounds", "--gen", "full:1,1", "--model", str(model), "--grid", "8,9,2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_threshold_overflow_is_input_error(self, capsys):
         # min_valid_snr overflows a double for kappa* = 12
         code, _, err = run(capsys, "bounds", "--gen", "diagonal:12", "--grid", "8,16,3")

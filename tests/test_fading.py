@@ -49,6 +49,11 @@ def test_construction_rejects_bad_statistics():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="positive definite"):
         FadingModel(topo=topo, means=np.zeros(2, dtype=complex), covariance=indefinite)
+    for bad_mean in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FadingModel.from_mapping(topo, means={(1, 1): bad_mean})
+    with pytest.raises(ValueError, match="finite"):
+        FadingModel.from_mapping(topo, covariance=np.diag([1.0, math.inf]).astype(complex))
     with pytest.raises(ValueError):
         FadingModel.from_mapping(topo, ar1_rho=1.0)
     with pytest.raises(ValueError):
@@ -194,6 +199,10 @@ def test_deserialization_validates(tmp_path):
     bad = dict(doc)
     bad["covariance"] = [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ValueError, match=r"\[re, im\]"):
+        fading_model_from_dict(topo, bad)
+    bad = dict(doc)
+    bad["means"] = [[1, 1, float("nan"), 0.0]]
+    with pytest.raises(ValueError, match="finite"):
         fading_model_from_dict(topo, bad)
     bad = dict(doc)
     bad.pop("covariance")

@@ -111,6 +111,19 @@ class TestEstimatePairMi:
             estimate_pair_mi(model, chain, allocation(1e8, 2), 1, 200, 200, seed=0)
         with pytest.raises(ValueError, match="out of range"):
             estimate_pair_mi(model, chain, allocation(1e8, 1), 2, 200, 200, seed=0)
+        # transmitter 2 reaches witness 1 after transmitter 1 already did, so
+        # a stronger member would be heard at level 2's witness
+        z = Topology(n_t=2, n_r=2, zeros=frozenset({(2, 1)}))
+        with pytest.raises(ValueError, match="newly reached"):
+            estimate_pair_mi(
+                FadingModel.iid_rayleigh(z),
+                PowerChain((1, 2), (1, 1)),
+                allocation(1e12, 2),
+                2,
+                200,
+                200,
+                seed=0,
+            )
 
     def test_constant_magnitude_gives_zero(self, scalar_setup):
         # zero-mean fading with a fixed input magnitude: the output law does
