@@ -106,26 +106,18 @@ def min_valid_snr(kappa: int) -> float:
     The binding constraint sits at the weakest level: with u = log E and
     k = kappa*(kappa+1) it reads exp(u/k) > u.  For kappa = 1 that holds for
     every E > 1, so e is reported as a safe floor; otherwise the threshold is
-    the upper root of exp(u/k) = u, found by bisection on the monotone tail.
+    the upper root of exp(u/k) = u, which is u = -k W_{-1}(-1/k) on the
+    lower branch of the Lambert W function.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     k = float(kappa * (kappa + 1))
-    u_turn = k * math.log(k)  # exp(u/k) - u is decreasing before, increasing after
-    if math.exp(u_turn / k) - u_turn > 0:
+    if k < math.e:  # exp(u/k) - u is then positive for every u
         return math.e
-    lo, hi = u_turn, 2.0 * u_turn
-    while math.exp(hi / k) - hi <= 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.exp(mid / k) - mid > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return max(math.exp(hi), math.e)
+    u = -k * float(special.lambertw(-1.0 / k, -1).real)
+    # The root sits on the boundary, where rounding can leave allocation()
+    # with an empty weakest window; step 1e-12 relative onto the feasible side.
+    return math.exp(u * (1.0 + 1e-12))
 
 
 def allocation(snr: float, kappa: int) -> PowerAllocation:
@@ -381,8 +373,9 @@ def duality_upper_bound(
     Applies to a block with a dominant transmitter heard by every receiver in
     it; the transmitted vector is assumed to peak on that transmitter.  The
     bound is built from an output-distribution family whose tuning parameter
-    is optimised in closed form, leaving a one-dimensional search over the
-    dominant magnitude, run by golden section to far below 1e-6 nats.
+    is optimised in closed form; the supremum over the dominant magnitude is
+    also closed form, attained where the two conditional-entropy floors
+    cross.
 
     Defaults cover the whole topology; pass ``receivers``/``transmitters`` to
     restrict to a sub-block and ``t_star`` to pin the dominant transmitter
@@ -456,38 +449,20 @@ def _duality_phase(
     log_a = math.log(frob2 * n_t)
     log_nr = math.log(n_r)
 
-    def gain(log_rho: float) -> float:
-        # output-energy growth minus the larger of two conditional-entropy floors
-        out = n_r * np.logaddexp(log_a + log_rho, log_nr)
-        floor = max(n_r * _LOG_PI_E, n_r * log_rho + h_cond)
-        return float(out) - floor
-
-    switch = _LOG_PI_E - h_cond / n_r  # where the two floors cross
-    sup_term = _golden_max(gain, switch - 60.0, switch + 60.0)
+    # The supremum over log rho of the output-energy growth
+    # n_r logaddexp(log_a + log_rho, log n_r) minus the larger of the two
+    # conditional-entropy floors n_r log(pi e) and n_r log_rho + h_cond.
+    # Below the crossing rho0 the floor is constant and the growth rises;
+    # above it the difference is n_r logaddexp(log_a, log n_r - log_rho) -
+    # h_cond, which falls.  So the supremum is attained at rho0.
+    rho0 = _LOG_PI_E - h_cond / n_r
+    sup_term = n_r * float(np.logaddexp(log_a + rho0, log_nr)) - n_r * _LOG_PI_E
     return _Phase(
         head=n_r * _LOG_PI - float(special.gammaln(n_r)) + sup_term + 1.0,
         log_frob2=math.log(frob2),
         log_nr=log_nr,
         digamma_nr=float(special.digamma(n_r)),
     )
-
-
-def _golden_max(f, lo: float, hi: float, *, tol: float = 1e-10) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return max(f(0.5 * (a + b)), fc, fd)
 
 
 @dataclass(frozen=True)

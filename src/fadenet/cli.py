@@ -22,7 +22,7 @@ from .bounds import AllocationInfeasibleError, Plan, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, decompose, longest_chain
 from .simulate import _to_csv, fit_loglog_slope, records_to_csv, records_to_json, snr_sweep
-from .topology import Topology, load_topology, parse_generator_spec
+from .topology import Topology, load_topology, parse_generator_spec, prune
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -131,6 +131,25 @@ def _load_model(args: argparse.Namespace, topo: Topology) -> FadingModel:
     return load_fading_model(args.model, topo)
 
 
+def _load_pruned_network(args: argparse.Namespace) -> tuple[Topology, FadingModel]:
+    """Topology and model of a grid command, with silent transmitters and
+    deaf receivers removed.
+
+    The model is read against the file's own labels.  Pruning drops only
+    all-zero rows and columns and relabels monotonically, so the surviving
+    entries keep their sorted order and the model's arrays carry over as
+    they are.  Output labels are the pruned ones.
+    """
+    topo = _load_topo(args)
+    model = _load_model(args, topo)
+    pruned = prune(topo)
+    if pruned.degenerate:
+        raise ValueError("topology prunes to nothing: no receiver hears any transmitter")
+    return pruned.topology, FadingModel(
+        pruned.topology, model.means, model.covariance, model.ar1_rho
+    )
+
+
 def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(",")
     if len(parts) != 3:
@@ -205,8 +224,7 @@ def _bounds_row(bounds_plan: Plan, snr: float) -> dict:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    topo = _load_topo(args)
-    model = _load_model(args, topo)
+    topo, model = _load_pruned_network(args)
     grid = _parse_grid(args.grid)
     bounds_plan = plan(topo, model)
     rows = [_bounds_row(bounds_plan, snr) for snr in grid]
@@ -232,8 +250,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ValueError("sweep is stochastic; --seed is required")
-    topo = _load_topo(args)
-    model = _load_model(args, topo)
+    topo, model = _load_pruned_network(args)
     grid = _parse_grid(args.grid)
     if any(v > _MC_SNR_CAP * (1 + 1e-12) for v in grid):
         raise ValueError(

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .topology import Topology
 
@@ -195,50 +195,28 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def log_h_squared_mean(mean: complex, variance: float, *, method: str = "auto") -> float:
+def log_h_squared_mean(mean: complex, variance: float) -> float:
     """E[log |H|^2] for H ~ CN(mean, variance), in nats.
 
-    The zero-mean value is exact: log(variance) - Euler-Mascheroni.  With a
-    nonzero mean the expectation is computed by adaptive quadrature of the
-    noncentral density; ``method`` may force ``"quadrature"``.
+    Exact by the exponential-integral identity: with K = |mean|^2/variance,
+    E[log |H|^2] = log(variance) + log K + E1(K).  Below K = 1e-14 the
+    K -> 0 limit, log(variance) - Euler-Mascheroni, is returned instead,
+    since log K is undefined at 0.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     ratio = abs(complex(mean)) ** 2 / variance
-    if method == "auto" and ratio < 1e-14:
-        return math.log(variance) - _EULER_GAMMA
-    return math.log(variance) + _noncentral_log_mean(ratio)
-
-
-def _noncentral_log_mean(ratio: float) -> float:
-    # E[log Q] for Q = |G + sqrt(ratio)|^2, G ~ CN(0, 1).  Written in the
-    # radial variable u = sqrt(q), where the integrand is a bump at sqrt(ratio)
-    # of O(1) width; i0e keeps the Bessel factor bounded.
     if ratio < 1e-14:
-        return -_EULER_GAMMA
-    root = math.sqrt(ratio)
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        return 4.0 * u * math.log(u) * math.exp(-((u - root) ** 2)) * special.i0e(2.0 * root * u)
-
-    hi = root + 12.0
-    pieces = sorted({0.0, max(0.0, root - 12.0), root, hi})
-    total = 0.0
-    for a, b in zip(pieces, pieces[1:]):
-        value, _ = integrate.quad(integrand, a, b, limit=200)
-        total += value
-    return total
+        return math.log(variance) - _EULER_GAMMA
+    return math.log(variance) + math.log(ratio) + float(special.exp1(ratio))
 
 
 def log_h_squared_mean_mc(
     mean: complex, variance: float, n_samples: int = 10**6, seed=0
 ) -> tuple[float, float]:
-    """Monte Carlo E[log |H|^2] with its standard error; the sampling branch
-    cross-checking the closed-form/quadrature branch."""
+    """Monte Carlo E[log |H|^2] with its standard error; an independent
+    sampling check on the exponential-integral identity of
+    :func:`log_h_squared_mean`."""
     if variance <= 0:
         raise ValueError("variance must be positive")
     rng = _as_generator(seed)

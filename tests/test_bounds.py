@@ -42,6 +42,13 @@ class TestMinValidSnr:
         u0 = math.log(e0)
         assert math.exp(u0 / 6.0) == pytest.approx(u0, rel=1e-9)
 
+    @pytest.mark.parametrize("kappa", range(2, 10))
+    def test_threshold_is_tight_and_feasible(self, kappa):
+        e0 = min_valid_snr(kappa)
+        assert allocation(e0, kappa).kappa == kappa
+        with pytest.raises(AllocationInfeasibleError):
+            allocation(e0 * (1 - 1e-9), kappa)
+
     def test_monotone_in_kappa(self):
         assert min_valid_snr(1) < min_valid_snr(2) < min_valid_snr(3) < min_valid_snr(4)
 

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +258,55 @@ class TestSweep:
             "--seed", "1", "--outer", "400", "--inner", "120",
         )
         assert code == 4
+
+
+class TestUnprunedTopologyFile:
+    """bounds and sweep prune a --topo file, so a silent transmitter or a
+    deaf receiver gives the same bytes as the pruned network."""
+
+    COMMANDS = [
+        ["bounds", "--grid", "8,16,5"],
+        ["bounds", "--grid", "8,16,5", "--format", "json"],
+        ["sweep", "--grid", "8,12,3", "--seed", "5", "--outer", "400", "--inner", "120"],
+    ]
+
+    @staticmethod
+    def output(capsys, source, command, extra=()):
+        code, out, _ = run(capsys, command[0], *source, *command[1:], *extra)
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("with_mean", [False, True])
+    def test_silent_transmitter_matches_full_1_1(self, capsys, tmp_path, command, with_mean):
+        topo = tmp_path / "net.json"
+        topo.write_text('{"n_t": 2, "n_r": 1, "zeros": [[1, 2]]}')
+        extra = ()
+        if with_mean:
+            model = tmp_path / "model.json"
+            model.write_text('{"means": [[1, 1, 1.5, -0.5]]}')
+            extra = ("--model", str(model))
+        got = self.output(capsys, ("--topo", str(topo)), command, extra)
+        assert got == self.output(capsys, ("--gen", "full:1,1"), command, extra)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_deaf_receiver_matches_z_channel(self, capsys, tmp_path, command):
+        topo = tmp_path / "net.json"
+        topo.write_text('{"n_t": 2, "n_r": 3, "zeros": [[2, 1], [3, 1], [3, 2]]}')
+        z_channel = Path(__file__).resolve().parents[1] / "perfbench" / "z_channel.json"
+        got = self.output(capsys, ("--topo", str(topo)), command)
+        assert got == self.output(capsys, ("--topo", str(z_channel)), command)
+
+    @pytest.mark.parametrize("command", ["bounds", "sweep"])
+    def test_topology_that_prunes_to_nothing_is_input_error(self, capsys, tmp_path, command):
+        topo = tmp_path / "net.json"
+        topo.write_text('{"n_t": 1, "n_r": 2, "zeros": [[1, 1], [2, 1]]}')
+        code, out, err = run(
+            capsys, command, "--topo", str(topo), "--grid", "8,9,2", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "prunes to nothing" in err
 
 
 @pytest.mark.parametrize(

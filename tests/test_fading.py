@@ -101,11 +101,8 @@ def test_conditional_variance_complex_coupling():
 def test_log_h_squared_mean_zero_mean_closed_form():
     assert log_h_squared_mean(0, 1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
     assert log_h_squared_mean(0, 4.0) == pytest.approx(math.log(4.0) - EULER_GAMMA, abs=1e-12)
-    assert log_h_squared_mean(0, 1.0, method="quadrature") == pytest.approx(-EULER_GAMMA, abs=1e-9)
     with pytest.raises(ValueError):
         log_h_squared_mean(0, 0.0)
-    with pytest.raises(ValueError):
-        log_h_squared_mean(0, 1.0, method="series")
 
 
 @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.1, 1.0, 4.0, 25.0, 400.0, 1e4])
@@ -124,10 +121,13 @@ def test_log_h_squared_mean_variance_scale_and_phase():
     assert log_h_squared_mean(6.0, 9.0) == pytest.approx(base + math.log(9.0), abs=1e-8)
 
 
-def test_log_h_squared_mean_mc_agrees():
-    value, stderr = log_h_squared_mean_mc(1.5, 2.0, n_samples=400_000, seed=3)
+# K = |mean|^2 / variance = 1e-3, 1.125 and 100: near zero-mean, moderate
+# and strong line of sight.  Sampling shares no code with scipy's E1.
+@pytest.mark.parametrize("mean, variance", [(0.1, 10.0), (1.5, 2.0), (20.0, 4.0)])
+def test_log_h_squared_mean_mc_agrees(mean, variance):
+    value, stderr = log_h_squared_mean_mc(mean, variance, n_samples=400_000, seed=3)
     assert stderr > 0
-    assert abs(value - log_h_squared_mean(1.5, 2.0)) < 4 * stderr
+    assert abs(value - log_h_squared_mean(mean, variance)) < 4 * stderr
 
 
 def test_block_mutual_information_independent_is_zero():
