@@ -257,7 +257,6 @@ class _ChainLevel:
 
     transmitter: int
     witness: int
-    mean: complex
     sigma_h: float
     e_log_h2: float
     eps2: float
@@ -280,7 +279,6 @@ def _chain_level(
     return _ChainLevel(
         transmitter=t,
         witness=r,
-        mean=mean,
         sigma_h=math.sqrt(variance),
         e_log_h2=log_h_squared_mean(mean, variance),
         eps2=model.conditional_variance((r, t), entries),
@@ -293,6 +291,11 @@ def _chain_levels(
     topo: Topology, chain: PowerChain, model: FadingModel
 ) -> tuple[_ChainLevel, ...]:
     return tuple(_chain_level(topo, chain, model, nu) for nu in range(1, len(chain) + 1))
+
+
+def _loglog_term(kappa: int, snr: float) -> float | None:
+    """kappa * log log E, or None below E = e, where log log E is negative."""
+    return kappa * math.log(math.log(snr)) if snr >= math.e else None
 
 
 def _scheme_report(
@@ -325,7 +328,7 @@ def _scheme_report(
     return BoundReport(
         snr=snr,
         kappa=kappa,
-        loglog_term=kappa * math.log(math.log(snr)),
+        loglog_term=_loglog_term(kappa, snr),
         lower_bound=float(sum(term for term, _ in terms)),
         upper_bound=None,
         per_level_terms=tuple(terms),

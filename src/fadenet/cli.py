@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import AllocationInfeasibleError, Plan, evaluate, plan
+from .bounds import AllocationInfeasibleError, Plan, _loglog_term, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, decompose, longest_chain
 from .simulate import _to_csv, fit_loglog_slope, records_to_csv, records_to_json, snr_sweep
@@ -107,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--inner",
         type=int,
         default=2000,
-        help="inner mixture draws per outer sample, used only on levels with "
-        "two or more interferers or a correlated or nonzero-mean one; every "
-        "other level uses deterministic quadrature",
+        help="inner draws of the level inputs per outer sample, used only on "
+        "levels with two or more interferers or a correlated or nonzero-mean "
+        "one; every other level uses deterministic quadrature",
     )
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel grid points")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -218,6 +218,9 @@ def _bounds_row(bounds_plan: Plan, snr: float) -> dict:
         return {
             "snr": snr,
             "kappa": bounds_plan.kappa_star,
+            "loglog_term": _loglog_term(bounds_plan.kappa_star, snr),
+            "lower_bound": None,
+            "upper_bound": None,
             "feasible": False,
             "note": f"below feasibility threshold {exc.threshold:.6g}",
         }
@@ -236,7 +239,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
     else:
         keys = ("snr", "kappa", "loglog_term", "lower_bound", "upper_bound", "feasible")
-        cells = [tuple(row.get(key) for key in keys) for row in rows]
+        cells = [tuple(row[key] for key in keys) for row in rows]
         _emit(_to_csv([("E", "kappa", "loglog", "lower", "upper", "feasible")] + cells), args.out)
 
     if args.plot_data:

@@ -3,25 +3,20 @@ SNR sweep that sets them beside the analytic bounds.
 
 Chain level nu's input has a log-uniform magnitude on the level's window of
 the allocation and a uniform phase (``_level_inputs``, the one place that law
-is drawn).  What the level's witness hears, its mean and its conditional
-variance come from the per-level helper the analytic bounds use
-(``fadenet.bounds._chain_level``); an interferer-free level is the
-zero-interferer case of the joint witness/interferer law.  Outer samples come
-from the true channel and the estimate averages log f(y|x) - log f(y) over
-them.  On an interferer-free level the output is complex Gaussian given |x|,
-and log|x| is uniform on the level window, so the marginal f(y) is a smooth
-one-dimensional integral; it is evaluated by deterministic composite
-Gauss-Legendre quadrature over s = log|x|, with the input phase averaged
-exactly (a Bessel factor when the fading has a mean).  A level whose witness
-hears one zero-mean interferer uncorrelated with the witness entry is
-Gaussian given both input magnitudes, so f(y|x) is a one-dimensional rule
-over the interferer's log-magnitude and f(y) a tensor rule over both.
-Levels with more interferers or a dependent one, and callers that supply
-their own magnitude law, use a nested plug-in instead: both densities are
-approximated by Gaussian-mixture averages over fresh inner draws of whatever
-the density does not condition on.  Conditioned on the interfering fading
-entries and inputs the output is exactly complex Gaussian, so every mixture
-component is closed form and the only approximation error is Monte Carlo.
+is drawn).  The witness and the weaker levels it hears come from the
+per-level helper the analytic bounds use (``fadenet.bounds._chain_level``).
+No receiver sees the fading, only its law; Gaussian fading integrates out in
+closed form, and given the level's inputs w = (x, xi_1..xi_d) the witness
+output is complex Gaussian (``_output_law``).  Outer samples are drawn
+through that law and the estimate averages log f(y|x) - log f(y) over them.
+With no interferer heard, or one zero-mean interferer uncorrelated with the
+witness entry, y is Gaussian given the input magnitudes, so both densities
+are deterministic composite Gauss-Legendre rules over log-magnitudes, with
+the phases averaged exactly (a Bessel factor when the fading has a mean).
+Other levels, and every level when the caller supplies its own magnitude
+law, use a nested plug-in: each density is an equal-weight mixture of output
+laws over fresh inner draws of the inputs it does not condition on, so the
+only approximation error is Monte Carlo.
 
 A sweep evaluates the bounds through :func:`fadenet.bounds.evaluate` on one
 budget-free plan of the network, and adds the summed per-level estimates.
@@ -42,7 +37,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import i0e, logsumexp
 
-from .bounds import AllocationInfeasibleError, Plan, PowerAllocation, _chain_level, evaluate, plan
+from .bounds import (
+    AllocationInfeasibleError, Plan, PowerAllocation, _chain_level, _loglog_term, evaluate, plan
+)
 from .fading import FadingModel, _as_generator, _standard_complex
 from .powerchain import PowerChain, validate_chain
 from .topology import Topology
@@ -172,6 +169,15 @@ def _magnitude_quadrature(
     return _MagnitudeQuadrature(log_conditional, log_marginal)
 
 
+def _output_law(mu: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of y = h.w + z given the inputs w (trailing axis),
+    with h ~ CN(mu, sigma) and z ~ CN(0, 1) integrated out: CN(w.mu,
+    1 + w^T sigma conj(w)), conjugate on the right as sigma = E[(h-mu)(h-mu)^H]."""
+    mean = w @ mu
+    var = 1.0 + np.sum((w @ sigma) * w.conj(), axis=-1).real
+    return mean, var
+
+
 def estimate_pair_mi(
     model: FadingModel,
     chain: PowerChain,
@@ -189,8 +195,9 @@ def estimate_pair_mi(
     chain members it can hear; stronger members are structurally silent at it
     (guaranteed by ``validate_chain``).  The level's witness law, its
     interferers included, comes from the same per-level helper as the
-    analytic bounds.  Outer samples (x_i, y_i) come from the true channel,
-    and the standard error comes from the outer-sample variance alone.
+    analytic bounds, with the fading integrated out in closed form.  Outer
+    samples (x_i, y_i) are drawn through that law, and the standard error
+    comes from the outer-sample variance alone.
 
     On an interferer-free level log f(y|x) is exact and log f(y) is a
     deterministic Gauss-Legendre quadrature over log|x| with the phase
@@ -198,19 +205,16 @@ def estimate_pair_mi(
     zero mean and no correlation with the witness entry, log f(y|x) is a
     Gauss-Legendre rule over the interferer's log-magnitude and log f(y) a
     tensor rule over both log-magnitudes.  Neither path makes inner draws,
-    so ``m_inner`` is not used.  On any other level with hearable
-    interferers log f(y|x) averages, over ``m_inner`` fresh draws of their
-    fading and inputs, the exact conditional Gaussian density whose mean
-    interpolates the witness entry from the drawn interferer entries and
-    whose variance is the Schur-complement residual; log f(y) repeats this
-    with fresh input draws included.
+    so ``m_inner`` is not used.  On any other level log f(y|x) averages the
+    output law over ``m_inner`` fresh draws of the interferer inputs, and
+    log f(y) over ``m_inner`` fresh draws of all the level's inputs.
 
     ``magnitude_sampler(rng, shape)``, when given, replaces the level-nu
-    magnitude law in both the channel input and the marginal, which then
-    takes ``m_inner`` fresh draws on every level, and on a level with
-    interferers the conditional too; phases stay uniform.  Meant for
-    diagnostics (constant or two-point magnitudes) where the estimate has a
-    closed-form or zero target, and as the quadrature's test oracle.
+    magnitude law in the channel input and the marginal, and puts the level
+    on the nested path whatever its interferers (with none, the conditional
+    is its one exact component); phases stay uniform.  Meant for diagnostics
+    (constant or two-point magnitudes) where the estimate has a closed-form
+    or zero target, and as the quadrature's test oracle.
     """
     topo = model.topo
     validate_chain(topo, chain)
@@ -224,30 +228,22 @@ def estimate_pair_mi(
 
     level = _chain_level(topo, chain, model, nu)
     d = len(level.interferers)
-    mu_t, eps2 = level.mean, level.eps2
-    # witness entry first, then the interferer entries; with d = 0 the joint
-    # law is the witness entry's alone and the interferer arrays are empty
-    joint = model.submatrix(((level.witness, level.transmitter),) + level.interferer_entries)
-    chol_joint = np.linalg.cholesky(joint)
-    mu_g = np.array([model.entry_mean(*e) for e in level.interferer_entries], dtype=complex)
-    mu_joint = np.concatenate(([mu_t], mu_g))
-    chol_g = np.linalg.cholesky(joint[1:, 1:])
-    # conditional mean of the witness entry: mu_t + (g - mu_g) @ coef
-    coef = np.linalg.solve(joint[1:, 1:].conj(), joint[0, 1:])
+    # the level's inputs w = (x, xi_1..xi_d) meet the witness entry first,
+    # then the interferer entries
+    entries = ((level.witness, level.transmitter),) + level.interferer_entries
+    mu = np.array([model.entry_mean(*e) for e in entries], dtype=complex)
+    sigma = model.submatrix(entries)
     windows = [alloc.levels[eta - 1] for eta in level.interferers]
 
     x_lo, x_hi = alloc.levels[nu - 1]
     rng = _as_generator(seed)
-    log_m = math.log(m_inner)
     # y is Gaussian given the input magnitudes when no interferer is heard, or
-    # one zero-mean interferer independent of the witness entry; a custom
-    # magnitude law keeps an interfering level wholly on the nested path
+    # one zero-mean interferer independent of the witness entry; with none,
+    # the interferer variance is an empty trace and no window is passed
     quadrature = None
-    if not d:
-        quadrature = _magnitude_quadrature(mu_t, eps2, x_lo, x_hi)
-    elif d == 1 and magnitude_sampler is None and mu_g[0] == 0 and joint[0, 1] == 0:
+    if magnitude_sampler is None and d <= 1 and not mu[1:].any() and not sigma[0, 1:].any():
         quadrature = _magnitude_quadrature(
-            mu_t, eps2, x_lo, x_hi, joint[1, 1].real, windows[0]
+            mu[0], level.eps2, x_lo, x_hi, sigma[1:, 1:].trace().real, *windows
         )
 
     def draw_target(shape: tuple) -> np.ndarray:
@@ -258,21 +254,17 @@ def estimate_pair_mi(
             raise ValueError("magnitude_sampler returned wrong shape")
         return mags * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=shape))
 
-    def draw_interferer_inputs(shape: tuple) -> np.ndarray:
-        xi = np.empty(shape + (d,), dtype=complex)
-        for j, (lo, hi) in enumerate(windows):
-            xi[..., j] = _level_inputs(rng, lo, hi, shape)
-        return xi
+    def draw_output_law(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # x beside fresh interferer inputs, one per heard level
+        xi = [_level_inputs(rng, lo, hi, x.shape + (1,)) for lo, hi in windows]
+        return _output_law(mu, sigma, np.concatenate([x[..., None]] + xi, axis=-1))
 
     def mixture_logpdf(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # log of the m-component mixture density at y, components indexed by
-        # the trailing axis of x (and the fresh interference draws)
-        g = mu_g + _standard_complex(rng, x.shape + (d,)) @ chol_g.T
-        xi = draw_interferer_inputs(x.shape)
-        mean = (mu_t + (g - mu_g) @ coef) * x + np.sum(g * xi, axis=-1)
-        var = 1.0 + eps2 * np.abs(x) ** 2
+        # log of the equal-weight mixture of output laws at y, one component
+        # per column of x
+        mean, var = draw_output_law(x)
         comp = -np.log(math.pi * var) - np.abs(y[:, None] - mean) ** 2 / var
-        return logsumexp(comp, axis=-1) - log_m
+        return logsumexp(comp, axis=-1) - math.log(x.shape[-1])
 
     chunk = 64 if quadrature is None else 256
     vals = np.empty(n_outer)
@@ -280,19 +272,15 @@ def estimate_pair_mi(
     while done < n_outer:
         n = min(chunk, n_outer - done)
         x = draw_target((n,))
-        # true draw: witness and interferer entries jointly, then inputs
-        hv = mu_joint + _standard_complex(rng, (n, d + 1)) @ chol_joint.T
-        xi_true = draw_interferer_inputs((n,))
-        signal = hv[:, 0] * x + np.sum(hv[:, 1:] * xi_true, axis=-1)
-        y = signal + _standard_complex(rng, (n,))
+        mean, var = draw_output_law(x)
+        y = mean + np.sqrt(var) * _standard_complex(rng, (n,))
 
         if quadrature is None:
-            log_cond = mixture_logpdf(y, np.broadcast_to(x[:, None], (n, m_inner)))
-        else:
-            log_cond = quadrature.log_conditional(y, x)
-        if quadrature is None or magnitude_sampler is not None:
+            # with no interferer the conditional is one exact component
+            log_cond = mixture_logpdf(y, np.broadcast_to(x[:, None], (n, m_inner if d else 1)))
             log_marg = mixture_logpdf(y, draw_target((n, m_inner)))
         else:
+            log_cond = quadrature.log_conditional(y, x)
             log_marg = quadrature.log_marginal(y)
         vals[done : done + n] = log_cond - log_marg
         done += n
@@ -333,7 +321,7 @@ def _sweep_point(
     root_seed: int,
 ) -> SweepRecord:
     kappa_star = bounds_plan.kappa_star
-    loglog = kappa_star * math.log(math.log(snr)) if snr > math.e else None
+    loglog = _loglog_term(kappa_star, snr)
     base = {
         "snr": snr,
         "kappa_star": kappa_star,

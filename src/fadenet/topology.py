@@ -176,7 +176,10 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
         The topology.  ``random`` may return a degenerate (empty) topology if
         pruning removes everything.
     """
-    ints = [int(p) for p in params[:2]] if kind == "random" else [int(p) for p in params]
+    sizes = params[:2] if kind == "random" else params
+    if not all(float(p).is_integer() for p in sizes):
+        raise ValueError(f"{kind} topology sizes must be whole numbers, got {list(sizes)}")
+    ints = [int(p) for p in sizes]
     if kind == "full":
         n_t, n_r = _two(kind, ints)
         return Topology(n_t=n_t, n_r=n_r)

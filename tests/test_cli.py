@@ -48,9 +48,11 @@ class TestKappa:
         assert 1 <= doc["kappa_star"] <= 4
 
     def test_bad_generator_spec(self, capsys):
-        code, _, err = run(capsys, "kappa", "--gen", "hexagonal:3")
-        assert code == 2
-        assert "error:" in err
+        # a fractional or infinite size is an error, not truncated
+        for spec in ("hexagonal:3", "diagonal:1.5", "full:1e400,1"):
+            code, out, err = run(capsys, "kappa", "--gen", spec)
+            assert (code, out) == (2, "")
+            assert "error:" in err
 
     def test_missing_topology_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "kappa", "--topo", str(tmp_path / "absent.json"))
@@ -111,6 +113,19 @@ class TestBounds:
         lines = out.strip().splitlines()
         assert lines[1].endswith(",false")
         assert lines[2].endswith(",true")
+        # an infeasible point has the sweep's loglog cell at the same E
+        grid = ("--grid", "5,9,2", "--seed", "1", "--outer", "100", "--inner", "100")
+        code, sweep_out, _ = run(capsys, "sweep", "--gen", "diagonal:2", *grid)
+        assert code == 0
+        sweep_lines = sweep_out.strip().splitlines()
+        assert sweep_lines[1].endswith(",false")
+        assert lines[1].split(",")[2] == sweep_lines[1].split(",")[2] != ""
+        code, out, _ = run(
+            capsys, "bounds", "--gen", "diagonal:2", "--grid", "5,9,2", "--format", "json"
+        )
+        infeasible = json.loads(out)[0]
+        assert (infeasible["lower_bound"], infeasible["upper_bound"]) == (None, None)
+        assert infeasible["loglog_term"] == float(lines[1].split(",")[2])
 
     def test_all_infeasible_exit_code(self, capsys):
         code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "4,5,2")

@@ -11,7 +11,7 @@ from scipy.stats import kstest
 
 from fadenet import simulate
 from fadenet.bounds import allocation, scalar_mi_lower_bound
-from fadenet.fading import FadingModel, log_h_squared_mean
+from fadenet.fading import FadingModel, _standard_complex, log_h_squared_mean
 from fadenet.powerchain import PowerChain, longest_chain
 from fadenet.simulate import (
     SweepRecord,
@@ -281,6 +281,30 @@ class TestMagnitudeQuadrature:
             assert abs(fine.value - base.value) < 1e-6, (snr, base, fine)
 
 
+class TestOutputLaw:
+    def test_matches_sampled_fading(self):
+        # the correlated Rician block (1, 1), (1, 2) of a Z-channel: fading
+        # drawn through the Cholesky factor of its covariance, inputs fixed
+        mu = np.array([1.0 + 0.5j, 0.3 - 0.2j])
+        sigma = np.array([[1.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.5]])
+        w = np.array([2.0 * np.exp(1.1j), 3.0 * np.exp(-0.4j)])
+        mean, var = simulate._output_law(mu, sigma, w)
+
+        rng = np.random.default_rng(2024)
+        n = 200_000
+        h = mu + _standard_complex(rng, (n, 2)) @ np.linalg.cholesky(sigma).T
+        y = h @ w + _standard_complex(rng, (n,))
+        power = np.abs(y - mean) ** 2
+        # complex-normal y: each of the two real parts has variance var / 2,
+        # and |y - mean|^2 is exponential with standard deviation var
+        assert abs(y.mean() - mean) < 5 * math.sqrt(var / n)
+        assert abs(power.mean() - var) < 5 * power.std() / math.sqrt(n)
+        # w^H sigma w would give 19.95 here, and a dropped mean is far off
+        wrong_var = 1.0 + (w.conj() @ sigma @ w).real
+        assert abs(power.mean() - wrong_var) > 20 * power.std() / math.sqrt(n)
+        assert abs(y.mean()) > 20 * math.sqrt(var / n)
+
+
 def _z_channel() -> Topology:
     # kappa* = 2; level 1's witness (receiver 1) also hears level 2's
     # transmitter, so level 1 has d = 1 and level 2 has d = 0
@@ -288,21 +312,27 @@ def _z_channel() -> Topology:
 
 
 class TestInterfererQuadrature:
-    @pytest.fixture(params=["iid", "witness_rician", "comparable_interferer"])
+    @pytest.fixture(
+        params=["iid", "witness_rician", "comparable_interferer", "loud_interferer"]
+    )
     def z_model(self, request):
         topo = _z_channel()
         if request.param == "iid":
             model = FadingModel.iid_rayleigh(topo)
         elif request.param == "witness_rician":
             model = FadingModel.from_mapping(topo, means={(1, 1): 1.0 + 0.5j, (2, 2): -0.8j})
-        else:
+        elif request.param == "comparable_interferer":
             # entries in sorted order: (1, 1), (1, 2), (2, 2).  With unit
             # variances the interferer at level 1's witness is weaker than
             # the target's own fading noise by about (log E)^2; here the two
             # are comparable, and at E = 1e16 the interferer axis takes
-            # several panels.  Much stronger interference starves the nested
-            # oracle's conditional mixture
+            # several panels
             model = FadingModel.from_mapping(topo, covariance=np.diag([1.0, 1e3, 1.0]))
+        else:
+            # interference far louder than the target's fading noise: the
+            # nested oracle's components carry the interferer's spread in
+            # their variance, so a few hundred inner draws still cover it
+            model = FadingModel.from_mapping(topo, covariance=np.diag([1.0, 1e6, 1.0]))
         _, chain = longest_chain(topo)
         assert chain == PowerChain(transmitters=(1, 2), witnesses=(1, 2))
         return model, chain

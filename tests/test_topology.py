@@ -150,6 +150,16 @@ def test_generator_parameter_validation():
         generate("nonsense", 3)
     with pytest.raises(ValueError):
         generate("random", 3, 3, 1.5, seed=1)
+    # a fractional or infinite size is rejected, not truncated
+    for kind, params in (
+        ("diagonal", (1.5,)),
+        ("full", (2.7, 3)),
+        ("full", (float("inf"), 1)),
+        ("random", (3.5, 4, 0.5)),
+    ):
+        with pytest.raises(ValueError, match="whole numbers"):
+            generate(kind, *params, seed=1)
+    assert generate("full", 2.0, 3) == generate("full", 2, 3)
 
 
 def test_parse_generator_spec():
