@@ -21,7 +21,9 @@ from pathlib import Path
 from .bounds import AllocationInfeasibleError, Plan, _loglog_term, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, decompose, longest_chain
-from .simulate import _to_csv, fit_loglog_slope, records_to_csv, records_to_json, snr_sweep
+from .simulate import (
+    _check_grid, _to_csv, fit_loglog_slope, records_to_csv, records_to_json, snr_sweep
+)
 from .topology import Topology, load_topology, parse_generator_spec, prune
 
 _EXIT_OK = 0
@@ -41,15 +43,15 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
         help="generator spec such as full:2,3 diagonal:4 wyner_linear:3 "
         "wyner_cyclic:4 random:3,4,0.5 (random needs --seed)",
     )
+    sub.add_argument("--seed", type=int, help="root seed for anything stochastic")
+
+
+def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--model",
         metavar="FILE",
         help="fading model JSON file (default: IID CN(0,1) on the nonzero entries)",
     )
-    sub.add_argument("--seed", type=int, help="root seed for anything stochastic")
-
-
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--grid",
         metavar="START,STOP,POINTS",
@@ -154,20 +156,11 @@ def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(",")
     if len(parts) != 3:
         raise ValueError("--grid wants START,STOP,POINTS")
-    start, stop = float(parts[0]), float(parts[1])
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError("grid exponents must be finite")
-    points = int(parts[2])
-    if points < 1:
-        raise ValueError("grid needs at least one point")
-    if points == 1:
-        if start != stop:
-            raise ValueError("one-point grid needs START == STOP")
-        return [10.0**start]
-    if stop <= start:
-        raise ValueError("grid exponents must increase")
-    step = (stop - start) / (points - 1)
-    return [10.0 ** (start + k * step) for k in range(points)]
+    start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    if points == 1 and start != stop:
+        raise ValueError("one-point grid needs START == STOP")
+    step = (stop - start) / max(points - 1, 1)
+    return _check_grid([10.0 ** (start + k * step) for k in range(points)])
 
 
 def _emit(text: str, out: str | None) -> None:

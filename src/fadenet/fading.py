@@ -25,12 +25,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from .topology import Topology
+from .topology import Topology, _is_int
 
 __all__ = [
     "FadingModel",
     "log_h_squared_mean",
-    "log_h_squared_mean_mc",
     "block_mutual_information",
     "memory_gap_ar1",
     "fading_model_to_dict",
@@ -301,7 +300,9 @@ def fading_model_from_dict(topo: Topology, doc: dict) -> FadingModel:
     for row in doc.get("means", []):
         if not (isinstance(row, (list, tuple)) and len(row) == 4):
             raise ValueError(f"malformed mean entry {row!r}; expected [r, t, re, im]")
-        key = (int(row[0]), int(row[1]))
+        if not (_is_int(row[0]) and _is_int(row[1])):
+            raise ValueError(f"mean entry {row!r} must label its entry with integers")
+        key = (row[0], row[1])
         if key in means:
             raise ValueError(f"duplicate mean entry {key}")
         means[key] = float(row[2]) + 1j * float(row[3])

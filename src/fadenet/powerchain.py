@@ -20,9 +20,9 @@ __all__ = [
     "SizeGuardError",
     "PowerChain",
     "ChainDecomposition",
+    "validate_chain",
     "is_power_chain",
     "longest_chain",
-    "brute_force_kappa",
     "decompose",
 ]
 

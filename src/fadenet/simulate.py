@@ -63,9 +63,11 @@ _GL_NODES_PER_PANEL = 8
 # with a fading mean the s panels are also at most this many sqrt(eps2)/|mu|
 # wide, which first binds above Rician K-factor 100
 _GL_RICIAN_PANELS = 2.5
-# outer rows times quadrature nodes evaluated at once; 256 rows of the
-# widest zero-mean interferer-free rule (480 nodes) fit in one block
-_QUADRATURE_ELEMENTS = 1 << 17
+# array elements evaluated at once: outer rows times quadrature nodes, or
+# outer rows times inner draws on the nested path (64 rows at the default
+# m_inner of 2000).  256 rows of the widest zero-mean interferer-free rule
+# (480 nodes) fit in one block
+_BLOCK_ELEMENTS = 128_000
 
 
 def _level_inputs(
@@ -142,7 +144,7 @@ def _magnitude_quadrature(
     v = ((1.0 + eps2 * r * r)[:, None] + b).ravel()
     base = (log_w[:, None] + log_wb).ravel() - np.log(math.pi * v)
     mu_r = np.repeat(abs(mu) * r, len(b))
-    rows = max(1, _QUADRATURE_ELEMENTS // len(v))
+    rows = max(1, _BLOCK_ELEMENTS // len(v))
 
     def log_conditional(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         var = (1.0 + eps2 * np.abs(x) ** 2)[:, None] + b
@@ -266,7 +268,7 @@ def estimate_pair_mi(
         comp = -np.log(math.pi * var) - np.abs(y[:, None] - mean) ** 2 / var
         return logsumexp(comp, axis=-1) - math.log(x.shape[-1])
 
-    chunk = 64 if quadrature is None else 256
+    chunk = max(1, _BLOCK_ELEMENTS // m_inner) if quadrature is None else 256
     vals = np.empty(n_outer)
     done = 0
     while done < n_outer:
@@ -367,6 +369,19 @@ def _sweep_point(
     )
 
 
+def _check_grid(e_grid: Iterable[float]) -> list[float]:
+    """The budget grid contract of ``snr_sweep`` and ``fadenet bounds``:
+    non-empty, every value positive and finite, strictly increasing."""
+    grid = [float(v) for v in e_grid]
+    if not grid:
+        raise ValueError("grid is empty")
+    if not all(0 < v < math.inf for v in grid):
+        raise ValueError("grid values must be positive and finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
 def snr_sweep(
     topo: Topology,
     model: FadingModel,
@@ -388,13 +403,7 @@ def snr_sweep(
         raise ValueError("model was built for a different topology")
     if not topo.is_pruned:
         raise ValueError("sweep requires a pruned topology")
-    grid = [float(v) for v in e_grid]
-    if not grid:
-        raise ValueError("grid is empty")
-    if any(v <= 0 for v in grid):
-        raise ValueError("grid values must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+    grid = _check_grid(e_grid)
     root_seed = int(seed)
     if root_seed < 0:
         raise ValueError("seed must be non-negative")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "GENERATOR_KINDS",
     "Topology",
     "PruneResult",
     "prune",
@@ -262,6 +263,12 @@ def topology_to_dict(topo: Topology) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """Whether a decoded JSON value is an integer (JSON true and false decode
+    to bools, which Python counts as ints)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def topology_from_dict(doc: dict) -> Topology:
     """Validate and build a topology from its JSON dictionary form.
 
@@ -274,7 +281,7 @@ def topology_from_dict(doc: dict) -> Topology:
         if key not in doc:
             raise ValueError(f"topology document missing {key!r}")
     n_t, n_r = doc["n_t"], doc["n_r"]
-    if not isinstance(n_t, int) or not isinstance(n_r, int) or isinstance(n_t, bool) or isinstance(n_r, bool):
+    if not (_is_int(n_t) and _is_int(n_r)):
         raise ValueError("n_t and n_r must be integers")
     raw = doc["zeros"]
     if not isinstance(raw, list):
@@ -284,7 +291,7 @@ def topology_from_dict(doc: dict) -> Topology:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ValueError(f"malformed zero entry {item!r}")
         r, t = item
-        if not isinstance(r, int) or not isinstance(t, int) or isinstance(r, bool) or isinstance(t, bool):
+        if not (_is_int(r) and _is_int(t)):
             raise ValueError(f"zero entry {item!r} must hold integers")
         pairs.append((r, t))
     if len(set(pairs)) != len(pairs):

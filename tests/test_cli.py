@@ -85,6 +85,21 @@ class TestDecompose:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "--gen", "diagonal:2"],
+        ["decompose", "--gen", "diagonal:2", "--perm", "2,1"],
+    ],
+)
+def test_model_is_a_usage_error_where_it_is_not_read(capsys, argv):
+    # only the grid commands load a fading model
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", "/nonexistent.json"])
+    assert exc.value.code == 2
+    assert "--model" in capsys.readouterr().err
+
+
 class TestBounds:
     def test_csv_to_stdout(self, capsys):
         code, out, _ = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "8,16,5")
@@ -164,6 +179,12 @@ class TestBounds:
             code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", grid)
             assert code == 2
             assert "finite" in err
+        # budgets that underflow to 0.0 break the same contract as in sweep
+        for grid in ("-330,1,3", "-400,-399,2"):
+            code, out, err = run(capsys, "bounds", "--gen", "full:1,1", "--grid=" + grid)
+            assert code == 2
+            assert out == ""
+            assert "positive" in err
 
     def test_non_finite_model_is_input_error(self, capsys, tmp_path):
         model = tmp_path / "model.json"
@@ -214,6 +235,14 @@ class TestSweep:
         )
         assert code == 2
         assert "finite" in err
+        for grid in ("-330,1,3", "-400,-399,2"):
+            code, out, err = run(
+                capsys, "sweep", "--gen", "full:1,1", "--grid=" + grid,
+                "--seed", "1", "--outer", "400", "--inner", "120",
+            )
+            assert code == 2
+            assert out == ""
+            assert "positive" in err
 
     def test_csv_and_summary(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"

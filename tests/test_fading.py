@@ -200,6 +200,12 @@ def test_deserialization_validates(tmp_path):
     bad["covariance"] = [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ValueError, match=r"\[re, im\]"):
         fading_model_from_dict(topo, bad)
+    # entry labels are checked, not coerced: each of these once set (1, 1)
+    for labels in ([1.7, 1.2], [True, 1], ["1", "1"], [1, None]):
+        bad = dict(doc)
+        bad["means"] = [[*labels, 0.5, 0.0]]
+        with pytest.raises(ValueError, match="integers"):
+            fading_model_from_dict(topo, bad)
     bad = dict(doc)
     bad["means"] = [[1, 1, float("nan"), 0.0]]
     with pytest.raises(ValueError, match="finite"):

@@ -423,6 +423,23 @@ class TestInterfererQuadrature:
         more = estimate_pair_mi(model, chain, alloc, 1, 200, 120, seed=3)
         assert few != more
 
+    def test_nested_blocks_fit_the_element_budget(self, monkeypatch):
+        # an interferer mean puts level 1 on the nested path, where a block
+        # of outer rows draws rows x m_inner inner inputs at once
+        topo = _z_channel()
+        model = FadingModel.from_mapping(topo, means={(1, 2): 0.5})
+        _, chain = longest_chain(topo)
+        shapes = []
+        draw = simulate._level_inputs
+
+        def recording(rng, x_min, x_max, shape):
+            shapes.append(shape)
+            return draw(rng, x_min, x_max, shape)
+
+        monkeypatch.setattr(simulate, "_level_inputs", recording)
+        estimate_pair_mi(model, chain, allocation(1e12, 2), 1, 100, 20_000, seed=3)
+        assert max(math.prod(shape) for shape in shapes) <= simulate._BLOCK_ELEMENTS
+
     def test_two_interferers_stay_nested(self):
         # lower-triangular 3x3: level 1's witness hears both weaker members
         topo = Topology(n_t=3, n_r=3, zeros=frozenset({(2, 1), (3, 1), (3, 2)}))
