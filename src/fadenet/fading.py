@@ -305,17 +305,32 @@ def fading_model_from_dict(topo: Topology, doc: dict) -> FadingModel:
         key = (row[0], row[1])
         if key in means:
             raise ValueError(f"duplicate mean entry {key}")
-        means[key] = float(row[2]) + 1j * float(row[3])
+        if not (_is_number(row[2]) and _is_number(row[3])):
+            raise ValueError(f"mean entry {row!r} must give re and im as numbers")
+        means[key] = complex(row[2], row[3])
     cov = None
     if "covariance" in doc:
         try:
-            cov = np.asarray(
-                [[complex(cell[0], cell[1]) for cell in row] for row in doc["covariance"]],
-                dtype=np.complex128,
-            )
-        except (TypeError, IndexError) as exc:
-            raise ValueError("covariance cells must be [re, im] pairs") from exc
-    return FadingModel.from_mapping(topo, means, cov, doc.get("ar1_rho"))
+            cells = [[_complex_cell(cell) for cell in row] for row in doc["covariance"]]
+        except TypeError as exc:
+            raise ValueError("covariance must be a list of rows of [re, im] cells") from exc
+        cov = np.asarray(cells, dtype=np.complex128)
+    rho = doc.get("ar1_rho")
+    if rho is not None and not _is_number(rho):
+        raise ValueError(f"ar1_rho {rho!r} must be a number")
+    return FadingModel.from_mapping(topo, means, cov, rho)
+
+
+def _is_number(value) -> bool:
+    """Whether a decoded JSON value is a number (not a bool or a string)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _complex_cell(cell) -> complex:
+    """The value of one decoded covariance cell, which must be [re, im]."""
+    if not (isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_is_number, cell))):
+        raise ValueError(f"covariance cells must be [re, im] pairs of numbers, not {cell!r}")
+    return complex(cell[0], cell[1])
 
 
 def load_fading_model(path: str | Path, topo: Topology) -> FadingModel:

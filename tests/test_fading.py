@@ -206,6 +206,29 @@ def test_deserialization_validates(tmp_path):
         bad["means"] = [[*labels, 0.5, 0.0]]
         with pytest.raises(ValueError, match="integers"):
             fading_model_from_dict(topo, bad)
+    # values must be JSON numbers: a string or a bool was once coerced, and
+    # null or a list raised TypeError
+    for value in ("0.5", True, None, [0.5]):
+        bad = dict(doc)
+        bad["means"] = [[1, 1, value, 0.0]]
+        with pytest.raises(ValueError, match="numbers"):
+            fading_model_from_dict(topo, bad)
+        bad["means"] = [[1, 1, 0.0, value]]
+        with pytest.raises(ValueError, match="numbers"):
+            fading_model_from_dict(topo, bad)
+    for cell in ([True, False], ["1", "0"], [1.0, None], [1.0, 0.0, 0.0], "10"):
+        bad = dict(doc)
+        bad["covariance"] = [[cell, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        with pytest.raises(ValueError, match=r"\[re, im\]"):
+            fading_model_from_dict(topo, bad)
+    for rho in ("0.5", True, [0.5]):
+        bad = dict(doc)
+        bad["ar1_rho"] = rho
+        with pytest.raises(ValueError, match="ar1_rho"):
+            fading_model_from_dict(topo, bad)
+    bad = dict(doc)
+    bad["ar1_rho"] = 0
+    assert fading_model_from_dict(topo, bad).ar1_rho == 0.0
     bad = dict(doc)
     bad["means"] = [[1, 1, float("nan"), 0.0]]
     with pytest.raises(ValueError, match="finite"):

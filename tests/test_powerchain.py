@@ -85,6 +85,77 @@ def test_longest_chain_matches_brute_force_small_random():
         checked += 1
 
 
+def _reference_longest_chain(topo: Topology) -> tuple[int, PowerChain]:
+    """The dynamic program without the per-state ceiling: every state scans
+    all of its transmitters."""
+    masks = topo.hearer_masks
+    memo: dict[int, int] = {}
+
+    def best(covered: int) -> int:
+        cached = memo.get(covered)
+        if cached is not None:
+            return cached
+        value = 0
+        for mask in masks:
+            if mask & ~covered:
+                value = max(value, 1 + best(covered | mask))
+        memo[covered] = value
+        return value
+
+    kappa_star = best(0)
+    transmitters: list[int] = []
+    witnesses: list[int] = []
+    covered = 0
+    while best(covered) > 0:
+        for t, mask in enumerate(masks, start=1):
+            fresh = mask & ~covered
+            if fresh and 1 + best(covered | mask) == best(covered):
+                transmitters.append(t)
+                witnesses.append((fresh & -fresh).bit_length())
+                covered |= mask
+                break
+    chain = PowerChain(tuple(transmitters), tuple(witnesses))
+    return kappa_star, chain
+
+
+@st.composite
+def _topologies_up_to_10x10(draw):
+    n_t = draw(st.integers(1, 10))
+    n_r = draw(st.integers(1, 10))
+    # a cell is heard when its digit falls below the drawn density
+    density = draw(st.integers(1, 9))
+    digits = draw(st.lists(st.integers(0, 9), min_size=n_t * n_r, max_size=n_t * n_r))
+    zeros = {
+        (r, t)
+        for r in range(1, n_r + 1)
+        for t in range(1, n_t + 1)
+        if digits[(r - 1) * n_t + t - 1] >= density
+    }
+    return Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros))
+
+
+@given(_topologies_up_to_10x10())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_longest_chain_equals_the_unbounded_dp(topo):
+    result = longest_chain(topo)
+    assert result == _reference_longest_chain(topo)
+    if topo.n_t <= 7:
+        assert result[0] == brute_force_kappa(topo)
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [("diagonal:24", 24), ("wyner_linear:23", 23)],
+)
+def test_longest_chain_at_the_receiver_guard(spec, expected):
+    topo = parse_generator_spec(spec)
+    assert topo.n_r == 24
+    kappa, chain = longest_chain(topo)
+    assert kappa == expected
+    assert chain.transmitters == tuple(range(1, expected + 1))
+    validate_chain(topo, chain)
+
+
 def test_size_guards():
     with pytest.raises(SizeGuardError):
         longest_chain(generate("diagonal", 25))
