@@ -25,7 +25,6 @@ from scipy import special
 
 from .fading import FadingModel, log_h_squared_mean
 from .powerchain import PowerChain, decompose, longest_chain, validate_chain
-from .topology import Topology
 
 __all__ = [
     "AllocationInfeasibleError",
@@ -155,10 +154,7 @@ def effective_noise_variance(nu: int, alloc: PowerAllocation, frob2: float) -> f
     _check_level(nu, alloc)
     if frob2 <= 0:
         raise ValueError("frob2 must be positive")
-    if nu == alloc.kappa:
-        return 1.0
-    strongest_below = max(x_max for _, x_max in alloc.levels[nu:])
-    return 1.0 + frob2 * (alloc.kappa - nu) * strongest_below**2
+    return 1.0 + _weaker_level_power(nu, alloc, frob2)
 
 
 def scalar_mi_lower_bound(
@@ -200,17 +196,23 @@ def interference_penalty(
     _check_level(nu, alloc)
     if eps2 <= 0:
         raise ValueError("eps2 must be positive")
-    if nu == alloc.kappa:
-        return 0.0
     x_min = alloc.levels[nu - 1][0]
-    strongest_below = max(x_max for _, x_max in alloc.levels[nu:])
-    interference = frob2 * (alloc.kappa - nu) * strongest_below**2
-    return math.log1p(interference / (1.0 + eps2 * x_min**2))
+    return math.log1p(_weaker_level_power(nu, alloc, frob2) / (1.0 + eps2 * x_min**2))
 
 
 def _check_level(nu: int, alloc: PowerAllocation) -> None:
     if not 1 <= nu <= alloc.kappa:
         raise ValueError(f"level {nu} out of range 1..{alloc.kappa}")
+
+
+def _weaker_level_power(nu: int, alloc: PowerAllocation, frob2: float) -> float:
+    """Worst-case received power of the levels weaker than nu: each at the
+    strongest weaker level's peak through the whole matrix's second moment.
+    0.0 at the weakest level."""
+    weaker = alloc.levels[nu:]
+    if not weaker:
+        return 0.0
+    return frob2 * len(weaker) * max(x_max for _, x_max in weaker) ** 2
 
 
 @dataclass(frozen=True)
@@ -264,14 +266,12 @@ class _ChainLevel:
     interferer_entries: tuple[tuple[int, int], ...]
 
 
-def _chain_level(
-    topo: Topology, chain: PowerChain, model: FadingModel, nu: int
-) -> _ChainLevel:
+def _chain_level(model: FadingModel, chain: PowerChain, nu: int) -> _ChainLevel:
     t, r = chain.transmitters[nu - 1], chain.witnesses[nu - 1]
     interferers = tuple(
         eta
         for eta in range(nu + 1, len(chain) + 1)
-        if (r, chain.transmitters[eta - 1]) not in topo.zeros
+        if (r, chain.transmitters[eta - 1]) not in model.topo.zeros
     )
     entries = tuple((r, chain.transmitters[eta - 1]) for eta in interferers)
     mean = model.entry_mean(r, t)
@@ -287,10 +287,8 @@ def _chain_level(
     )
 
 
-def _chain_levels(
-    topo: Topology, chain: PowerChain, model: FadingModel
-) -> tuple[_ChainLevel, ...]:
-    return tuple(_chain_level(topo, chain, model, nu) for nu in range(1, len(chain) + 1))
+def _chain_levels(model: FadingModel, chain: PowerChain) -> tuple[_ChainLevel, ...]:
+    return tuple(_chain_level(model, chain, nu) for nu in range(1, len(chain) + 1))
 
 
 def _loglog_term(kappa: int, snr: float) -> float | None:
@@ -337,10 +335,9 @@ def _scheme_report(
     )
 
 
-def scheme_rate_lower_bound(
-    topo: Topology, chain: PowerChain, model: FadingModel, snr: float
-) -> BoundReport:
-    """Total rate guarantee of the layered scheme riding the given chain.
+def scheme_rate_lower_bound(model: FadingModel, chain: PowerChain, snr: float) -> BoundReport:
+    """Total rate guarantee of the layered scheme riding the given chain of
+    the model's topology.
 
     Each chain member transmits one level of the allocation and is decoded by
     its witness receiver alone, with every weaker level treated as noise at
@@ -348,11 +345,11 @@ def scheme_rate_lower_bound(
     interference penalties are reported alongside, not subtracted, since the
     guarantee already prices interference into its noise term.
     """
-    validate_chain(topo, chain)
+    validate_chain(model.topo, chain)
     if len(chain) == 0:
         raise ValueError("chain must have at least one member")
     alloc = allocation(snr, len(chain))
-    return _scheme_report(_chain_levels(topo, chain, model), model.frob_second_moment, alloc)
+    return _scheme_report(_chain_levels(model, chain), model.frob_second_moment, alloc)
 
 
 def alpha_penalty(alpha: float) -> float:
@@ -363,7 +360,6 @@ def alpha_penalty(alpha: float) -> float:
 
 
 def duality_upper_bound(
-    topo: Topology,
     model: FadingModel,
     snr: float,
     *,
@@ -380,10 +376,11 @@ def duality_upper_bound(
     also closed form, attained where the two conditional-entropy floors
     cross.
 
-    Defaults cover the whole topology; pass ``receivers``/``transmitters`` to
-    restrict to a sub-block and ``t_star`` to pin the dominant transmitter
-    (otherwise the smallest fully heard one is chosen).
+    Defaults cover the model's whole topology; pass ``receivers``/
+    ``transmitters`` to restrict to a sub-block and ``t_star`` to pin the
+    dominant transmitter (otherwise the smallest fully heard one is chosen).
     """
+    topo = model.topo
     if snr < 0:
         raise ValueError("power budget must be non-negative")
     if not topo.is_pruned:
@@ -407,7 +404,7 @@ def duality_upper_bound(
         if any((r, t_star) in topo.zeros for r in rx):
             raise ValueError(f"t_star {t_star} is not heard by every receiver in the block")
 
-    return _duality_phase(topo, model, rx, tx, t_star).upper_bound(snr)
+    return _duality_phase(model, rx, tx, t_star).upper_bound(snr)
 
 
 @dataclass(frozen=True)
@@ -429,12 +426,10 @@ class _Phase:
         return self.head + alpha_penalty(1.0 / delta)
 
 
-def _duality_phase(
-    topo: Topology, model: FadingModel, rx: list[int], tx: list[int], t_star: int
-) -> _Phase:
+def _duality_phase(model: FadingModel, rx: list[int], tx: list[int], t_star: int) -> _Phase:
     n_r = len(rx)
     n_t = len(tx)
-    block_entries = [(r, t) for r in rx for t in tx if (r, t) not in topo.zeros]
+    block_entries = [(r, t) for r in rx for t in tx if (r, t) not in model.topo.zeros]
     frob2 = sum(
         abs(model.entry_mean(r, t)) ** 2 + model.entry_variance(r, t)
         for r, t in block_entries
@@ -490,8 +485,9 @@ class Plan:
         return len(self.chain)
 
 
-def plan(topo: Topology, model: FadingModel) -> Plan:
-    """The budget-free half of both bounds, from one :func:`longest_chain` call.
+def plan(model: FadingModel) -> Plan:
+    """The budget-free half of both bounds on the model's topology, from one
+    :func:`longest_chain` call.
 
     The converse decomposes along the identity ordering: phase nu is the
     duality bound on the block of its receiver group against all
@@ -500,6 +496,7 @@ def plan(topo: Topology, model: FadingModel) -> Plan:
     """
     from .fading import block_mutual_information  # local import to keep module load light
 
+    topo = model.topo
     if not topo.is_pruned:
         raise ValueError("converse envelope requires a pruned topology")
     decomp = decompose(topo, tuple(range(1, topo.n_t + 1)))
@@ -518,7 +515,7 @@ def plan(topo: Topology, model: FadingModel) -> Plan:
         rx = sorted(decomp.receiver_blocks[k])
         tx = sorted(remaining[k])
         # chain member k hears its whole receiver block by construction
-        phases.append(_duality_phase(topo, model, rx, tx, decomp.chain.transmitters[k]))
+        phases.append(_duality_phase(model, rx, tx, decomp.chain.transmitters[k]))
         if k < decomp.kappa - 1:
             later_rx = set().union(*decomp.receiver_blocks[k + 1 :])
             a = [(r, t) for r in rx for t in tx if (r, t) not in topo.zeros]
@@ -527,7 +524,7 @@ def plan(topo: Topology, model: FadingModel) -> Plan:
     return Plan(
         chain=chain,
         frob2=model.frob_second_moment,
-        levels=_chain_levels(topo, chain, model),
+        levels=_chain_levels(model, chain),
         phases=tuple(phases),
         cross_block_mi=tuple(cross_terms),
         log_permutation_count=float(special.gammaln(topo.n_t + 1)),
@@ -552,8 +549,9 @@ def _converse_report(plan: Plan, snr: float) -> dict:
     }
 
 
-def converse_envelope_report(topo: Topology, model: FadingModel, snr: float) -> dict:
-    """Converse upper envelope with its breakdown, for the identity ordering.
+def converse_envelope_report(model: FadingModel, snr: float) -> dict:
+    """Converse upper envelope with its breakdown, for the identity ordering
+    of the model's topology.
 
     Each phase of :func:`plan`'s decomposition is bounded by
     :func:`duality_upper_bound`, the cross-phase coupling adds block mutual
@@ -562,12 +560,12 @@ def converse_envelope_report(topo: Topology, model: FadingModel, snr: float) -> 
     kappa_star * log(1 + log(1 + E)) plus everything else folded into a
     bounded constant.
     """
-    return _converse_report(plan(topo, model), snr)
+    return _converse_report(plan(model), snr)
 
 
-def converse_envelope(topo: Topology, model: FadingModel, snr: float) -> float:
+def converse_envelope(model: FadingModel, snr: float) -> float:
     """Converse upper envelope (nats); see :func:`converse_envelope_report`."""
-    return float(converse_envelope_report(topo, model, snr)["value"])
+    return float(converse_envelope_report(model, snr)["value"])
 
 
 def evaluate(plan: Plan, snr: float) -> BoundReport:

@@ -133,9 +133,9 @@ def _load_model(args: argparse.Namespace, topo: Topology) -> FadingModel:
     return load_fading_model(args.model, topo)
 
 
-def _load_pruned_network(args: argparse.Namespace) -> tuple[Topology, FadingModel]:
-    """Topology and model of a grid command, with silent transmitters and
-    deaf receivers removed.
+def _load_pruned_network(args: argparse.Namespace) -> FadingModel:
+    """The model of a grid command, on its topology with silent transmitters
+    and deaf receivers removed.
 
     The model is read against the file's own labels.  Pruning drops only
     all-zero rows and columns and relabels monotonically, so the surviving
@@ -147,9 +147,7 @@ def _load_pruned_network(args: argparse.Namespace) -> tuple[Topology, FadingMode
     pruned = prune(topo)
     if pruned.degenerate:
         raise ValueError("topology prunes to nothing: no receiver hears any transmitter")
-    return pruned.topology, FadingModel(
-        pruned.topology, model.means, model.covariance, model.ar1_rho
-    )
+    return FadingModel(pruned.topology, model.means, model.covariance, model.ar1_rho)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -220,9 +218,9 @@ def _bounds_row(bounds_plan: Plan, snr: float) -> dict:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    topo, model = _load_pruned_network(args)
+    model = _load_pruned_network(args)
     grid = _parse_grid(args.grid)
-    bounds_plan = plan(topo, model)
+    bounds_plan = plan(model)
     rows = [_bounds_row(bounds_plan, snr) for snr in grid]
     if not any(row["feasible"] for row in rows):
         print("every grid point is below the feasibility threshold", file=sys.stderr)
@@ -246,22 +244,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ValueError("sweep is stochastic; --seed is required")
-    topo, model = _load_pruned_network(args)
+    model = _load_pruned_network(args)
     grid = _parse_grid(args.grid)
     if any(v > _MC_SNR_CAP * (1 + 1e-12) for v in grid):
         raise ValueError(
             f"sweep grid is capped at E = {_MC_SNR_CAP:g}; "
             "estimator variance is unvalidated beyond that"
         )
-    records = snr_sweep(
-        topo,
-        model,
-        grid,
-        args.outer,
-        args.inner,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    records = snr_sweep(model, grid, args.outer, args.inner, seed=args.seed, workers=args.workers)
     if not any(rec.feasible for rec in records):
         print("every grid point is below the feasibility threshold", file=sys.stderr)
         return _EXIT_INFEASIBLE

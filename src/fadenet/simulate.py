@@ -42,7 +42,6 @@ from .bounds import (
 )
 from .fading import FadingModel, _as_generator, _standard_complex
 from .powerchain import PowerChain, validate_chain
-from .topology import Topology
 
 __all__ = [
     "MiEstimate",
@@ -78,6 +77,11 @@ def _level_inputs(
     mags = np.exp(rng.uniform(math.log(x_min), math.log(x_max), size=shape))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=shape)
     return mags * np.exp(1j * phases)
+
+
+def _check_samples(n_outer: int, m_inner: int) -> None:
+    if n_outer < _MIN_SAMPLES or m_inner < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} outer and inner samples")
 
 
 class MiEstimate(NamedTuple):
@@ -218,17 +222,15 @@ def estimate_pair_mi(
     (constant or two-point magnitudes) where the estimate has a closed-form
     or zero target, and as the quadrature's test oracle.
     """
-    topo = model.topo
-    validate_chain(topo, chain)
+    validate_chain(model.topo, chain)
     kappa = len(chain)
     if len(alloc.levels) != kappa:
         raise ValueError("allocation level count and chain length differ")
     if not 1 <= nu <= kappa:
         raise ValueError(f"level {nu} out of range 1..{kappa}")
-    if n_outer < _MIN_SAMPLES or m_inner < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} outer and inner samples")
+    _check_samples(n_outer, m_inner)
 
-    level = _chain_level(topo, chain, model, nu)
+    level = _chain_level(model, chain, nu)
     d = len(level.interferers)
     # the level's inputs w = (x, xi_1..xi_d) meet the witness entry first,
     # then the interferer entries
@@ -383,7 +385,6 @@ def _check_grid(e_grid: Iterable[float]) -> list[float]:
 
 
 def snr_sweep(
-    topo: Topology,
     model: FadingModel,
     e_grid: Sequence[float],
     n_outer: int = 20000,
@@ -392,16 +393,15 @@ def snr_sweep(
     seed: int,
     workers: int = 1,
 ) -> list[SweepRecord]:
-    """Evaluate bounds and the summed per-level MC estimate over an SNR grid.
+    """Evaluate bounds and the summed per-level MC estimate over an SNR grid,
+    on the model's topology.
 
     Each grid point and chain level gets its own child seed derived from the
     root by position, and records are assembled in grid order, so the result
     is byte-identical for any ``workers`` count.  Points below the allocation
     threshold come back flagged infeasible instead of failing the sweep.
     """
-    if model.topo != topo:
-        raise ValueError("model was built for a different topology")
-    if not topo.is_pruned:
+    if not model.topo.is_pruned:
         raise ValueError("sweep requires a pruned topology")
     grid = _check_grid(e_grid)
     root_seed = int(seed)
@@ -409,8 +409,9 @@ def snr_sweep(
         raise ValueError("seed must be non-negative")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    _check_samples(n_outer, m_inner)
 
-    bounds_plan = plan(topo, model)
+    bounds_plan = plan(model)
 
     def point(i: int) -> SweepRecord:
         return _sweep_point(bounds_plan, model, i, grid[i], n_outer, m_inner, root_seed)

@@ -135,7 +135,7 @@ def test_criterion_05_bounded_gap():
     _, chain = longest_chain(topo)
     gaps = [
         2 * math.log(math.log(e))
-        - scheme_rate_lower_bound(topo, chain, model, e).lower_bound
+        - scheme_rate_lower_bound(model, chain, e).lower_bound
         for e in GRID
     ]
     top_four = gaps[1:]
@@ -152,7 +152,7 @@ def _analytic_records(topo, model):
             snr=e,
             kappa_star=kappa_star,
             loglog_term=kappa_star * math.log(math.log(e)),
-            analytic_lower=scheme_rate_lower_bound(topo, chain, model, e).lower_bound,
+            analytic_lower=scheme_rate_lower_bound(model, chain, e).lower_bound,
             mc_estimate=None,
             mc_stderr=None,
             analytic_upper=None,
@@ -197,7 +197,7 @@ def test_criterion_06c_mc_slope():
         topo = generate(*spec)
         model = FadingModel.iid_rayleigh(topo)
         kappa_star, _ = longest_chain(topo)
-        records = snr_sweep(topo, model, GRID, 20000, 2000, seed=42, workers=4)
+        records = snr_sweep(model, GRID, 20000, 2000, seed=42, workers=4)
         slope, _, _ = fit_loglog_slope(records)
         details.append(f"{spec[0]}: slope={slope:.4f} vs kappa*={kappa_star}")
         ok = ok and abs(slope - kappa_star) <= 0.15 * kappa_star
@@ -261,9 +261,9 @@ def test_criterion_08_bound_ordering():
     details = []
     ok = True
     for e in (1e8, 1e12):
-        lower = scheme_rate_lower_bound(topo, chain, model, e).lower_bound
+        lower = scheme_rate_lower_bound(model, chain, e).lower_bound
         est = estimate_pair_mi(model, chain, allocation(e, 1), 1, 6000, 600, seed=8)
-        upper = duality_upper_bound(topo, model, e)
+        upper = duality_upper_bound(model, e)
         high = est.value + 3 * est.stderr
         ok = ok and lower <= high <= upper
         details.append(f"E={e:g}: {lower:.3f} <= {high:.3f} <= {upper:.3f}")

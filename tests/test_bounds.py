@@ -179,7 +179,7 @@ class TestSchemeRate:
         topo = generate("full", 1, 1)
         model = FadingModel.iid_rayleigh(topo)
         _, chain = longest_chain(topo)
-        report = scheme_rate_lower_bound(topo, chain, model, 1e8)
+        report = scheme_rate_lower_bound(model, chain, 1e8)
         alloc = allocation(1e8, 1)
         direct = scalar_mi_lower_bound(
             alloc.levels[0][0], alloc.levels[0][1], 1.0, 1.0, -EULER_GAMMA
@@ -192,7 +192,7 @@ class TestSchemeRate:
         topo = generate("diagonal", 2)
         model = FadingModel.iid_rayleigh(topo)
         _, chain = longest_chain(topo)
-        report = scheme_rate_lower_bound(topo, chain, model, 1e10)
+        report = scheme_rate_lower_bound(model, chain, 1e10)
         assert report.kappa == 2
         assert report.loglog_term == pytest.approx(2 * math.log(math.log(1e10)), rel=1e-12)
         assert report.lower_bound == pytest.approx(
@@ -208,7 +208,7 @@ class TestSchemeRate:
         model = FadingModel.iid_rayleigh(topo)
         _, chain = longest_chain(topo)
         with pytest.raises(AllocationInfeasibleError):
-            scheme_rate_lower_bound(topo, chain, model, 1e6)
+            scheme_rate_lower_bound(model, chain, 1e6)
 
 
 def test_alpha_penalty():
@@ -222,7 +222,7 @@ class TestDualityUpperBound:
     def test_frozen_scalar_value(self):
         topo = generate("full", 1, 1)
         model = FadingModel.iid_rayleigh(topo)
-        assert duality_upper_bound(topo, model, 1e8) == pytest.approx(
+        assert duality_upper_bound(model, 1e8) == pytest.approx(
             3.8117156885835115, rel=1e-9
         )
 
@@ -230,7 +230,7 @@ class TestDualityUpperBound:
         topo = generate("full", 1, 1)
         model = FadingModel.iid_rayleigh(topo)
         gaps = [
-            duality_upper_bound(topo, model, e) - math.log(math.log(e))
+            duality_upper_bound(model, e) - math.log(math.log(e))
             for e in (1e8, 1e10, 1e12, 1e14)
         ]
         assert max(gaps) - min(gaps) < 2.0
@@ -240,55 +240,53 @@ class TestDualityUpperBound:
         model = FadingModel.iid_rayleigh(topo)
         _, chain = longest_chain(topo)
         for e in (1e8, 1e12):
-            lower = scheme_rate_lower_bound(topo, chain, model, e).lower_bound
-            assert duality_upper_bound(topo, model, e) > lower
+            lower = scheme_rate_lower_bound(model, chain, e).lower_bound
+            assert duality_upper_bound(model, e) > lower
 
     def test_zero_budget_is_finite(self):
         topo = generate("full", 1, 1)
         model = FadingModel.iid_rayleigh(topo)
-        assert math.isfinite(duality_upper_bound(topo, model, 0.0))
+        assert math.isfinite(duality_upper_bound(model, 0.0))
         with pytest.raises(ValueError):
-            duality_upper_bound(topo, model, -1.0)
+            duality_upper_bound(model, -1.0)
 
     def test_needs_dominant_transmitter(self):
         topo = generate("diagonal", 2)
         model = FadingModel.iid_rayleigh(topo)
         with pytest.raises(ValueError, match="heard by every receiver"):
-            duality_upper_bound(topo, model, 1e8)
+            duality_upper_bound(model, 1e8)
         # but the receiver-1 block has one
-        value = duality_upper_bound(
-            topo, model, 1e8, t_star=1, receivers=[1], transmitters=[1, 2]
-        )
+        value = duality_upper_bound(model, 1e8, t_star=1, receivers=[1], transmitters=[1, 2])
         assert math.isfinite(value)
         with pytest.raises(ValueError):
-            duality_upper_bound(topo, model, 1e8, t_star=1, receivers=[1, 2])
+            duality_upper_bound(model, 1e8, t_star=1, receivers=[1, 2])
 
     def test_requires_pruned(self):
         unpruned = Topology(n_t=2, n_r=1, zeros=frozenset({(1, 2)}))
         model = FadingModel.iid_rayleigh(unpruned)
         with pytest.raises(ValueError, match="pruned"):
-            duality_upper_bound(unpruned, model, 1e8)
+            duality_upper_bound(model, 1e8)
 
 
 class TestConverseEnvelope:
     def test_zero_budget_anchor(self):
         topo = generate("diagonal", 2)
         model = FadingModel.iid_rayleigh(topo)
-        report = converse_envelope_report(topo, model, 0.0)
+        report = converse_envelope_report(model, 0.0)
         assert report["loglog_term"] == 0.0
         assert report["value"] == report["constant"]
 
     def test_frozen_two_user_value(self):
         topo = generate("diagonal", 2)
         model = FadingModel.iid_rayleigh(topo)
-        assert converse_envelope(topo, model, 1e8) == pytest.approx(
+        assert converse_envelope(model, 1e8) == pytest.approx(
             8.722043665838022, rel=1e-9
         )
 
     def test_full_network_coefficient_is_one(self):
         topo = generate("full", 2, 2)
         model = FadingModel.iid_rayleigh(topo)
-        report = converse_envelope_report(topo, model, 1e10)
+        report = converse_envelope_report(model, 1e10)
         assert report["kappa_star"] == 1
         assert len(report["per_phase_upper"]) == 1
 
@@ -298,7 +296,7 @@ class TestConverseEnvelope:
         model = FadingModel.iid_rayleigh(topo)
         kappa_star, _ = longest_chain(topo)
         gaps = [
-            converse_envelope(topo, model, e) - kappa_star * math.log(math.log(e))
+            converse_envelope(model, e) - kappa_star * math.log(math.log(e))
             for e in np.geomspace(1e8, 1e16, 5)
         ]
         assert max(gaps) - min(gaps) < 2.0
@@ -306,13 +304,9 @@ class TestConverseEnvelope:
     def test_identity_decomposition_phases_match_duality(self):
         topo = generate("diagonal", 2)
         model = FadingModel.iid_rayleigh(topo)
-        report = converse_envelope_report(topo, model, 1e8)
-        phase1 = duality_upper_bound(
-            topo, model, 1e8, t_star=1, receivers=[1], transmitters=[1, 2]
-        )
-        phase2 = duality_upper_bound(
-            topo, model, 1e8, t_star=2, receivers=[2], transmitters=[2]
-        )
+        report = converse_envelope_report(model, 1e8)
+        phase1 = duality_upper_bound(model, 1e8, t_star=1, receivers=[1], transmitters=[1, 2])
+        phase2 = duality_upper_bound(model, 1e8, t_star=2, receivers=[2], transmitters=[2])
         assert report["per_phase_upper"][0] == pytest.approx(phase1, rel=1e-12)
         assert report["per_phase_upper"][1] == pytest.approx(phase2, rel=1e-12)
         assert report["cross_block_mi"] == [0.0]
@@ -331,22 +325,22 @@ class TestPlan:
             [[1.0, 0.3 + 0.1j, 0.2], [0.3 - 0.1j, 1.5, 0.1 + 0.2j], [0.2, 0.1 - 0.2j, 1.0]]
         )
         means = {(1, 1): 1.0 + 0.5j, (1, 2): 0.3 - 0.2j, (2, 2): -0.8j}
-        return topo, FadingModel.from_mapping(topo, means=means, covariance=cov)
+        return FadingModel.from_mapping(topo, means=means, covariance=cov)
 
     @pytest.mark.parametrize("snr", [1e8, 1e12, 1e16])
     def test_evaluate_equals_the_public_bounds(self, z_channel, snr):
-        topo, model = z_channel
-        _, chain = longest_chain(topo)
-        report = evaluate(plan(topo, model), snr)
-        lower = scheme_rate_lower_bound(topo, chain, model, snr)
+        model = z_channel
+        _, chain = longest_chain(model.topo)
+        report = evaluate(plan(model), snr)
+        lower = scheme_rate_lower_bound(model, chain, snr)
         assert report.lower_bound == lower.lower_bound
-        assert report.upper_bound == converse_envelope(topo, model, snr)
+        assert report.upper_bound == converse_envelope(model, snr)
         assert dataclasses.replace(report, upper_bound=None) == lower
-        assert converse_envelope_report(topo, model, snr)["cross_block_mi"][0] > 0.0
+        assert converse_envelope_report(model, snr)["cross_block_mi"][0] > 0.0
 
     def test_evaluate_below_threshold_raises(self, z_channel):
         with pytest.raises(AllocationInfeasibleError):
-            evaluate(plan(*z_channel), 1e6)
+            evaluate(plan(z_channel), 1e6)
 
 
 def _parse(spec):

@@ -303,6 +303,15 @@ class TestSweep:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("grid", ["4,5,2", "8,9,2"], ids=["infeasible", "feasible"])
+    def test_too_few_samples_is_input_error_on_any_grid(self, capsys, grid):
+        code, out, err = run(
+            capsys, "sweep", "--gen", "diagonal:2", "--grid", grid, "--seed", "1", "--outer", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "need at least 100" in err
+
 
 class TestUnprunedTopologyFile:
     """bounds and sweep prune a --topo file, so a silent transmitter or a

@@ -35,3 +35,15 @@ def test_package_reexports_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(fadenet, name) is getattr(module, name)
+
+
+def test_no_public_callable_takes_a_topology_beside_a_model():
+    # a FadingModel carries its topology, so a second one could only disagree
+    both = []
+    for name in fadenet.__all__:
+        obj = getattr(fadenet, name)
+        if inspect.isclass(obj):
+            obj = obj.__init__  # signature() fails on a class with a builtin __init__
+        if callable(obj) and {"topo", "model"} <= set(inspect.signature(obj).parameters):
+            both.append(name)
+    assert both == []

@@ -455,19 +455,18 @@ class TestInterfererQuadrature:
 class TestSnrSweep:
     @pytest.fixture
     def pair_network(self):
-        topo = generate("diagonal", 2)
-        return topo, FadingModel.iid_rayleigh(topo)
+        return FadingModel.iid_rayleigh(generate("diagonal", 2))
 
     def test_worker_count_never_changes_bytes(self, pair_network):
-        topo, model = pair_network
+        model = pair_network
         grid = [1e5, 1e8, 1e10]
-        serial = snr_sweep(topo, model, grid, 400, 120, seed=77, workers=1)
-        pooled = snr_sweep(topo, model, grid, 400, 120, seed=77, workers=4)
+        serial = snr_sweep(model, grid, 400, 120, seed=77, workers=1)
+        pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
         assert records_to_csv(serial) == records_to_csv(pooled)
 
     def test_infeasible_point_is_isolated(self, pair_network):
-        topo, model = pair_network
-        records = snr_sweep(topo, model, [1e5, 1e8], 400, 120, seed=3)
+        model = pair_network
+        records = snr_sweep(model, [1e5, 1e8], 400, 120, seed=3)
         assert not records[0].feasible
         assert records[0].mc_estimate is None
         assert records[0].note.startswith("below feasibility threshold")
@@ -475,29 +474,29 @@ class TestSnrSweep:
         assert records[1].note is None
 
     def test_estimates_sit_between_bounds(self, pair_network):
-        topo, model = pair_network
-        (rec,) = snr_sweep(topo, model, [1e8], 600, 150, seed=21)
+        model = pair_network
+        (rec,) = snr_sweep(model, [1e8], 600, 150, seed=21)
         assert rec.mc_estimate > rec.analytic_lower - 3 * rec.mc_stderr
         assert rec.mc_estimate < rec.analytic_upper + 3 * rec.mc_stderr
 
     def test_input_validation(self, pair_network):
-        topo, model = pair_network
-        other = FadingModel.iid_rayleigh(generate("full", 2, 2))
-        with pytest.raises(ValueError, match="different topology"):
-            snr_sweep(topo, other, [1e8], 400, 120, seed=0)
+        model = pair_network
         unpruned = Topology(n_t=2, n_r=1, zeros=frozenset({(1, 2)}))
         with pytest.raises(ValueError, match="pruned"):
-            snr_sweep(unpruned, FadingModel.iid_rayleigh(unpruned), [1e8], 400, 120, seed=0)
+            snr_sweep(FadingModel.iid_rayleigh(unpruned), [1e8], 400, 120, seed=0)
         with pytest.raises(ValueError, match="increasing"):
-            snr_sweep(topo, model, [1e8, 1e8], 400, 120, seed=0)
+            snr_sweep(model, [1e8, 1e8], 400, 120, seed=0)
         with pytest.raises(ValueError, match="positive"):
-            snr_sweep(topo, model, [-1e8], 400, 120, seed=0)
+            snr_sweep(model, [-1e8], 400, 120, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            snr_sweep(topo, model, [], 400, 120, seed=0)
+            snr_sweep(model, [], 400, 120, seed=0)
         with pytest.raises(ValueError, match="seed"):
-            snr_sweep(topo, model, [1e8], 400, 120, seed=-1)
+            snr_sweep(model, [1e8], 400, 120, seed=-1)
         with pytest.raises(ValueError, match="workers"):
-            snr_sweep(topo, model, [1e8], 400, 120, seed=0, workers=0)
+            snr_sweep(model, [1e8], 400, 120, seed=0, workers=0)
+        # sample counts are checked even when no grid point is feasible
+        with pytest.raises(ValueError, match="need at least 100"):
+            snr_sweep(model, [1e5], 50, 120, seed=0)
 
 
 def _fake_record(snr, mc, feasible=True):
@@ -603,7 +602,7 @@ def _small_pruned_topologies(draw):
 @settings(max_examples=15, deadline=None, derandomize=True)
 def test_estimate_sits_between_bounds_on_random_topologies(topo):
     model = FadingModel.iid_rayleigh(topo)
-    for rec in snr_sweep(topo, model, [1e8, 1e12, 1e16], 400, 100, seed=1):
+    for rec in snr_sweep(model, [1e8, 1e12, 1e16], 400, 100, seed=1):
         assert rec.feasible
         assert rec.analytic_lower <= rec.mc_estimate + 3 * rec.mc_stderr, rec
         assert rec.mc_estimate - 3 * rec.mc_stderr <= rec.analytic_upper, rec
