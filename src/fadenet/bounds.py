@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .fading import FadingModel, log_h_squared_mean
+from .fading import FadingModel, block_mutual_information, log_h_squared_mean
 from .powerchain import PowerChain, decompose, longest_chain, validate_chain
 
 __all__ = [
@@ -224,26 +224,41 @@ class BoundReport:
     attached.  ``constants`` keeps the raw ingredients for inspection.
     ``alloc`` is the allocation the bounds were evaluated on;
     :meth:`to_json_dict` leaves it out.
+
+    Below the feasibility threshold (see :func:`evaluate`) the report is
+    infeasible: no allocation, bounds or per-level terms, ``loglog_term``
+    still filled when E >= e, and the threshold in ``note``.
     """
 
     snr: float
     kappa: int
-    loglog_term: float
-    lower_bound: float
+    loglog_term: float | None
+    lower_bound: float | None
     upper_bound: float | None
     per_level_terms: tuple[tuple[float, float], ...]
     constants: dict
-    alloc: PowerAllocation
+    alloc: PowerAllocation | None
+    note: str | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.alloc is not None
 
     def to_json_dict(self) -> dict:
-        return {
+        head = {
             "snr": self.snr,
             "kappa": self.kappa,
             "loglog_term": self.loglog_term,
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
+        }
+        if not self.feasible:
+            return {**head, "feasible": False, "note": self.note}
+        return {
+            **head,
             "per_level_terms": [list(pair) for pair in self.per_level_terms],
             "constants": self.constants,
+            "feasible": True,
         }
 
 
@@ -494,26 +509,17 @@ def plan(model: FadingModel) -> Plan:
     not-yet-decoded transmitters, and the cross-phase coupling of the fading
     matrix is priced by block mutual informations.
     """
-    from .fading import block_mutual_information  # local import to keep module load light
-
     topo = model.topo
     if not topo.is_pruned:
         raise ValueError("converse envelope requires a pruned topology")
     decomp = decompose(topo, tuple(range(1, topo.n_t + 1)))
     _, chain = longest_chain(topo)
 
-    remaining: list[set[int]] = []
-    tail: set[int] = set()
-    for block in reversed(decomp.transmitter_blocks):
-        tail = tail | set(block)
-        remaining.append(set(tail))
-    remaining.reverse()
-
     phases = []
     cross_terms = []
     for k in range(decomp.kappa):
         rx = sorted(decomp.receiver_blocks[k])
-        tx = sorted(remaining[k])
+        tx = sorted(set().union(*decomp.transmitter_blocks[k:]))
         # chain member k hears its whole receiver block by construction
         phases.append(_duality_phase(model, rx, tx, decomp.chain.transmitters[k]))
         if k < decomp.kappa - 1:
@@ -572,9 +578,23 @@ def evaluate(plan: Plan, snr: float) -> BoundReport:
     """Both bounds at budget ``snr``: :func:`scheme_rate_lower_bound` along the
     plan's chain, with :func:`converse_envelope` as ``upper_bound``.
 
-    Raises:
-        AllocationInfeasibleError: below :func:`min_valid_snr` of kappa*.
+    Defined for every budget: below :func:`min_valid_snr` of kappa* the
+    layered scheme does not exist, and the report comes back infeasible with
+    the threshold in its ``note``.
     """
-    alloc = allocation(snr, plan.kappa_star)
+    try:
+        alloc = allocation(snr, plan.kappa_star)
+    except AllocationInfeasibleError as exc:
+        return BoundReport(
+            snr=snr,
+            kappa=plan.kappa_star,
+            loglog_term=_loglog_term(plan.kappa_star, snr),
+            lower_bound=None,
+            upper_bound=None,
+            per_level_terms=(),
+            constants={},
+            alloc=None,
+            note=f"below feasibility threshold {exc.threshold:.6g}",
+        )
     report = _scheme_report(plan.levels, plan.frob2, alloc)
     return dataclasses.replace(report, upper_bound=_converse_report(plan, snr)["value"])

@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import AllocationInfeasibleError, Plan, _loglog_term, evaluate, plan
+from .bounds import evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, decompose, longest_chain
 from .simulate import (
@@ -202,41 +202,33 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _bounds_row(bounds_plan: Plan, snr: float) -> dict:
-    try:
-        return {**evaluate(bounds_plan, snr).to_json_dict(), "feasible": True}
-    except AllocationInfeasibleError as exc:
-        return {
-            "snr": snr,
-            "kappa": bounds_plan.kappa_star,
-            "loglog_term": _loglog_term(bounds_plan.kappa_star, snr),
-            "lower_bound": None,
-            "upper_bound": None,
-            "feasible": False,
-            "note": f"below feasibility threshold {exc.threshold:.6g}",
-        }
+def _any_feasible(points: list) -> bool:
+    """Whether any grid point is feasible; if none is, says so on stderr."""
+    if any(point.feasible for point in points):
+        return True
+    print("every grid point is below the feasibility threshold", file=sys.stderr)
+    return False
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     model = _load_pruned_network(args)
     grid = _parse_grid(args.grid)
     bounds_plan = plan(model)
-    rows = [_bounds_row(bounds_plan, snr) for snr in grid]
-    if not any(row["feasible"] for row in rows):
-        print("every grid point is below the feasibility threshold", file=sys.stderr)
+    reports = [evaluate(bounds_plan, snr) for snr in grid]
+    if not _any_feasible(reports):
         return _EXIT_INFEASIBLE
 
     if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+        _emit(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n", args.out)
     else:
-        keys = ("snr", "kappa", "loglog_term", "lower_bound", "upper_bound", "feasible")
-        cells = [tuple(row[key] for key in keys) for row in rows]
+        cells = [
+            (r.snr, r.kappa, r.loglog_term, r.lower_bound, r.upper_bound, r.feasible)
+            for r in reports
+        ]
         _emit(_to_csv([("E", "kappa", "loglog", "lower", "upper", "feasible")] + cells), args.out)
 
     if args.plot_data:
-        points = [
-            (math.log(math.log(row["snr"])), row["lower_bound"]) for row in rows if row["feasible"]
-        ]
+        points = [(math.log(math.log(r.snr)), r.lower_bound) for r in reports if r.feasible]
         Path(args.plot_data).write_text(_to_csv(points))
     return _EXIT_OK
 
@@ -252,8 +244,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "estimator variance is unvalidated beyond that"
         )
     records = snr_sweep(model, grid, args.outer, args.inner, seed=args.seed, workers=args.workers)
-    if not any(rec.feasible for rec in records):
-        print("every grid point is below the feasibility threshold", file=sys.stderr)
+    if not _any_feasible(records):
         return _EXIT_INFEASIBLE
 
     text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
@@ -283,14 +274,12 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SIZE_GUARD
-    except AllocationInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INFEASIBLE
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         # last resort: an input beyond double range (a huge --grid exponent,
-        # a kappa* whose feasibility threshold overflows) is still bad input
+        # a kappa* whose feasibility threshold overflows) or beyond memory (a
+        # huge --outer) is still bad input
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_INPUT

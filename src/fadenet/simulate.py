@@ -19,7 +19,8 @@ laws over fresh inner draws of the inputs it does not condition on, so the
 only approximation error is Monte Carlo.
 
 A sweep evaluates the bounds through :func:`fadenet.bounds.evaluate` on one
-budget-free plan of the network, and adds the summed per-level estimates.
+budget-free plan of the network, and adds the summed per-level estimates at
+each feasible point.
 
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
@@ -37,9 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import i0e, logsumexp
 
-from .bounds import (
-    AllocationInfeasibleError, Plan, PowerAllocation, _chain_level, _loglog_term, evaluate, plan
-)
+from .bounds import PowerAllocation, _chain_level, evaluate, plan
 from .fading import FadingModel, _as_generator, _standard_complex
 from .powerchain import PowerChain, validate_chain
 
@@ -315,62 +314,6 @@ class SweepRecord:
     note: str | None = None
 
 
-def _sweep_point(
-    bounds_plan: Plan,
-    model: FadingModel,
-    index: int,
-    snr: float,
-    n_outer: int,
-    m_inner: int,
-    root_seed: int,
-) -> SweepRecord:
-    kappa_star = bounds_plan.kappa_star
-    loglog = _loglog_term(kappa_star, snr)
-    base = {
-        "snr": snr,
-        "kappa_star": kappa_star,
-        "n_outer": n_outer,
-        "m_inner": m_inner,
-        "seed": root_seed,
-    }
-    try:
-        report = evaluate(bounds_plan, snr)
-    except AllocationInfeasibleError as exc:
-        return SweepRecord(
-            loglog_term=loglog,
-            analytic_lower=None,
-            mc_estimate=None,
-            mc_stderr=None,
-            analytic_upper=None,
-            feasible=False,
-            note=f"below feasibility threshold {exc.threshold:.6g}",
-            **base,
-        )
-    total = 0.0
-    var = 0.0
-    for nu in range(1, kappa_star + 1):
-        est = estimate_pair_mi(
-            model,
-            bounds_plan.chain,
-            report.alloc,
-            nu,
-            n_outer,
-            m_inner,
-            seed=np.random.SeedSequence([root_seed, index, nu]),
-        )
-        total += est.value
-        var += est.stderr**2
-    return SweepRecord(
-        loglog_term=loglog,
-        analytic_lower=report.lower_bound,
-        mc_estimate=total,
-        mc_stderr=math.sqrt(var),
-        analytic_upper=report.upper_bound,
-        feasible=True,
-        **base,
-    )
-
-
 def _check_grid(e_grid: Iterable[float]) -> list[float]:
     """The budget grid contract of ``snr_sweep`` and ``fadenet bounds``:
     non-empty, every value positive and finite, strictly increasing."""
@@ -398,8 +341,10 @@ def snr_sweep(
 
     Each grid point and chain level gets its own child seed derived from the
     root by position, and records are assembled in grid order, so the result
-    is byte-identical for any ``workers`` count.  Points below the allocation
-    threshold come back flagged infeasible instead of failing the sweep.
+    is byte-identical for any ``workers`` count.  Each point is
+    :func:`fadenet.bounds.evaluate`'s report, plus the per-level estimates
+    when it is feasible; points below the allocation threshold come back
+    infeasible, with the report's note, instead of failing the sweep.
     """
     if not model.topo.is_pruned:
         raise ValueError("sweep requires a pruned topology")
@@ -414,7 +359,37 @@ def snr_sweep(
     bounds_plan = plan(model)
 
     def point(i: int) -> SweepRecord:
-        return _sweep_point(bounds_plan, model, i, grid[i], n_outer, m_inner, root_seed)
+        report = evaluate(bounds_plan, grid[i])
+        total = stderr = None
+        if report.feasible:
+            total = var = 0.0
+            for nu in range(1, report.kappa + 1):
+                est = estimate_pair_mi(
+                    model,
+                    bounds_plan.chain,
+                    report.alloc,
+                    nu,
+                    n_outer,
+                    m_inner,
+                    seed=np.random.SeedSequence([root_seed, i, nu]),
+                )
+                total += est.value
+                var += est.stderr**2
+            stderr = math.sqrt(var)
+        return SweepRecord(
+            snr=report.snr,
+            kappa_star=report.kappa,
+            loglog_term=report.loglog_term,
+            analytic_lower=report.lower_bound,
+            mc_estimate=total,
+            mc_stderr=stderr,
+            analytic_upper=report.upper_bound,
+            n_outer=n_outer,
+            m_inner=m_inner,
+            seed=root_seed,
+            feasible=report.feasible,
+            note=report.note,
+        )
 
     if workers == 1:
         return [point(i) for i in range(len(grid))]

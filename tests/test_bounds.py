@@ -338,9 +338,16 @@ class TestPlan:
         assert dataclasses.replace(report, upper_bound=None) == lower
         assert converse_envelope_report(model, snr)["cross_block_mi"][0] > 0.0
 
-    def test_evaluate_below_threshold_raises(self, z_channel):
-        with pytest.raises(AllocationInfeasibleError):
-            evaluate(plan(z_channel), 1e6)
+    def test_evaluate_below_threshold_is_infeasible(self, z_channel):
+        report = evaluate(plan(z_channel), 1e6)
+        assert not report.feasible
+        assert (report.lower_bound, report.upper_bound, report.alloc) == (None, None, None)
+        assert report.per_level_terms == ()
+        assert report.loglog_term == pytest.approx(2 * math.log(math.log(1e6)), rel=1e-12)
+        assert report.note == f"below feasibility threshold {min_valid_snr(2):.6g}"
+        assert list(report.to_json_dict()) == [
+            "snr", "kappa", "loglog_term", "lower_bound", "upper_bound", "feasible", "note"
+        ]
 
 
 def _parse(spec):

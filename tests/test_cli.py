@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -128,26 +131,39 @@ class TestBounds:
         lines = out.strip().splitlines()
         assert lines[1].endswith(",false")
         assert lines[2].endswith(",true")
-        # an infeasible point has the sweep's loglog cell at the same E
+        # one evaluator serves both commands: every shared cell is equal
         grid = ("--grid", "5,9,2", "--seed", "1", "--outer", "100", "--inner", "100")
         code, sweep_out, _ = run(capsys, "sweep", "--gen", "diagonal:2", *grid)
         assert code == 0
-        sweep_lines = sweep_out.strip().splitlines()
-        assert sweep_lines[1].endswith(",false")
-        assert lines[1].split(",")[2] == sweep_lines[1].split(",")[2] != ""
+        bounds_rows = list(csv.DictReader(io.StringIO(out)))
+        sweep_rows = list(csv.DictReader(io.StringIO(sweep_out)))
+        assert len(bounds_rows) == len(sweep_rows) == 2
+        for b, s in zip(bounds_rows, sweep_rows):
+            for key in ("E", "loglog", "lower", "upper", "feasible"):
+                assert b[key] == s[key]
+        assert bounds_rows[0]["loglog"] != ""
         code, out, _ = run(
             capsys, "bounds", "--gen", "diagonal:2", "--grid", "5,9,2", "--format", "json"
         )
         infeasible = json.loads(out)[0]
         assert (infeasible["lower_bound"], infeasible["upper_bound"]) == (None, None)
         assert infeasible["loglog_term"] == float(lines[1].split(",")[2])
+        code, sweep_json, _ = run(
+            capsys, "sweep", "--gen", "diagonal:2", *grid, "--format", "json"
+        )
+        assert code == 0
+        assert infeasible["note"] == json.loads(sweep_json)[0]["note"]
+        assert infeasible["note"].startswith("below feasibility threshold")
 
     def test_all_infeasible_exit_code(self, capsys):
         code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "4,5,2")
         assert code == 4
         assert "feasibility" in err
 
-    def test_out_and_plot_data_files(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "grid, feasible", [("8,12,3", 3), ("5,9,5", 2)], ids=["feasible", "mixed"]
+    )
+    def test_out_and_plot_data_files(self, capsys, tmp_path, grid, feasible):
         data = tmp_path / "bounds.csv"
         plot = tmp_path / "plot.csv"
         code, out, _ = run(
@@ -156,7 +172,7 @@ class TestBounds:
             "--gen",
             "diagonal:2",
             "--grid",
-            "8,12,3",
+            grid,
             "--out",
             str(data),
             "--plot-data",
@@ -164,11 +180,15 @@ class TestBounds:
         )
         assert code == 0
         assert out == ""
-        assert data.read_text().startswith("E,kappa,loglog")
-        rows = plot.read_text().strip().splitlines()
-        assert len(rows) == 3
-        x, y = rows[0].split(",")
-        float(x), float(y)  # both parse
+        text = data.read_text()
+        assert text.startswith("E,kappa,loglog")
+        # the plot keeps only the feasible rows, with x = log log E
+        kept = [row for row in csv.DictReader(io.StringIO(text)) if row["feasible"] == "true"]
+        rows = [row.split(",") for row in plot.read_text().strip().splitlines()]
+        assert len(kept) == len(rows) == feasible
+        for row, (x, y) in zip(kept, rows):
+            assert float(x) == math.log(math.log(float(row["E"])))
+            assert y == row["lower"]
 
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "8,4,3")
@@ -302,6 +322,17 @@ class TestSweep:
             "--seed", "1", "--outer", "400", "--inner", "120",
         )
         assert code == 4
+
+    def test_unallocatable_outer_is_input_error(self, capsys):
+        # 10**14 outer samples need 728 TiB, which numpy refuses at once
+        code, out, err = run(
+            capsys, "sweep", "--gen", "full:1,1", "--grid", "8,8,1", "--seed", "1",
+            "--outer", "100000000000000", "--inner", "100",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("grid", ["4,5,2", "8,9,2"], ids=["infeasible", "feasible"])
     def test_too_few_samples_is_input_error_on_any_grid(self, capsys, grid):
