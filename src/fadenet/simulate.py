@@ -13,6 +13,8 @@ With no interferer heard, or one zero-mean interferer uncorrelated with the
 witness entry, y is Gaussian given the input magnitudes, so both densities
 are deterministic composite Gauss-Legendre rules over log-magnitudes, with
 the phases averaged exactly (a Bessel factor when the fading has a mean).
+The quadrature sums its exponentials with its own in-place log-sum-exp
+(``_logsumexp_rows``); the nested path keeps scipy's as an independent oracle.
 Other levels, and every level when the caller supplies its own magnitude
 law, use a nested plug-in: each density is an equal-weight mixture of output
 laws over fresh inner draws of the inputs it does not condition on, so the
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import i0e, logsumexp
 
-from .bounds import PowerAllocation, _chain_level, evaluate, plan
+from .bounds import BoundReport, PowerAllocation, _chain_level, evaluate, plan
 from .fading import FadingModel, _as_generator, _standard_complex
 from .powerchain import PowerChain, validate_chain
 
@@ -64,7 +66,8 @@ _GL_RICIAN_PANELS = 2.5
 # array elements evaluated at once: outer rows times quadrature nodes, or
 # outer rows times inner draws on the nested path (64 rows at the default
 # m_inner of 2000).  256 rows of the widest zero-mean interferer-free rule
-# (480 nodes) fit in one block
+# (480 nodes) fit in one block.  It also sizes the one scratch block (two
+# with a fading mean) that each quadrature log f(y) call allocates
 _BLOCK_ELEMENTS = 128_000
 
 
@@ -99,6 +102,21 @@ def _gl_rule(lo: float, hi: float, max_width: float) -> tuple[np.ndarray, np.nda
     s = (centres[:, None] + half * nodes).ravel()
     # the uniform density 1/width folds into the weights
     return s, np.log(np.tile(weights * half / width, panels))
+
+
+def _logsumexp_rows(block: np.ndarray) -> np.ndarray:
+    """log sum exp along each row of a 2-D float block of finite values:
+    the row max plus the log of the sum of exp(entry - max).
+
+    Overwrites ``block`` (with exp(entry - row max)); pass a scratch block.
+    """
+    peak = block.max(axis=-1)
+    block -= peak[:, None]
+    np.exp(block, out=block)
+    total = block.sum(axis=-1)
+    np.log(total, out=total)
+    total += peak
+    return total
 
 
 class _MagnitudeQuadrature(NamedTuple):
@@ -147,6 +165,7 @@ def _magnitude_quadrature(
     v = ((1.0 + eps2 * r * r)[:, None] + b).ravel()
     base = (log_w[:, None] + log_wb).ravel() - np.log(math.pi * v)
     mu_r = np.repeat(abs(mu) * r, len(b))
+    two_mu_r = 2.0 * mu_r
     rows = max(1, _BLOCK_ELEMENTS // len(v))
 
     def log_conditional(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -154,21 +173,35 @@ def _magnitude_quadrature(
         dist = np.abs(y - mu * x)[:, None] ** 2
         comp = log_wb - np.log(math.pi * var) - dist / var
         # a one-node rule (no interferer) needs no logsumexp
-        return comp[:, 0] if len(b) == 1 else logsumexp(comp, axis=-1)
+        return comp[:, 0] if len(b) == 1 else _logsumexp_rows(comp)
 
     def log_marginal(y: np.ndarray) -> np.ndarray:
         out = np.empty(len(y))
+        # scratch for the exponents (and the Bessel arguments), made per call
+        # so that sweep threads never share one
+        block = np.empty((min(rows, len(y)), len(v)))
+        z_block = None if mu == 0 else np.empty_like(block)
         for i in range(0, len(y), rows):
             a = np.abs(y[i : i + rows])[:, None]
+            e = block[: len(a)]
             if mu == 0:
-                out[i : i + rows] = logsumexp(base - a * a / v, axis=-1)
-                continue
-            z = 2.0 * mu_r * a / v
-            # -(a^2 + mu_r^2) / v + log I0(z) = -(a - mu_r)^2 / v + log i0e(z),
-            # which avoids cancelling two large terms
-            out[i : i + rows] = logsumexp(
-                base - (a - mu_r) ** 2 / v + np.log(i0e(z)), axis=-1
-            )
+                # base - a^2 / v
+                np.divide(a * a, v, out=e)
+                np.subtract(base, e, out=e)
+            else:
+                # -(a^2 + mu_r^2) / v + log I0(z) = -(a - mu_r)^2 / v + log i0e(z),
+                # with z = 2 mu_r a / v, which avoids cancelling two large terms
+                np.subtract(a, mu_r, out=e)
+                np.square(e, out=e)
+                np.divide(e, v, out=e)
+                np.subtract(base, e, out=e)
+                z = z_block[: len(a)]
+                np.multiply(two_mu_r, a, out=z)
+                np.divide(z, v, out=z)
+                i0e(z, out=z)
+                np.log(z, out=z)
+                e += z
+            out[i : i + rows] = _logsumexp_rows(e)
         return out
 
     return _MagnitudeQuadrature(log_conditional, log_marginal)
@@ -341,7 +374,8 @@ def snr_sweep(
 
     Each grid point and chain level gets its own child seed derived from the
     root by position, and records are assembled in grid order, so the result
-    is byte-identical for any ``workers`` count.  Each point is
+    is byte-identical for any ``workers`` count.  The workers share one
+    queue of (point, level) estimates, first levels first.  Each point is
     :func:`fadenet.bounds.evaluate`'s report, plus the per-level estimates
     when it is feasible; points below the allocation threshold come back
     infeasible, with the report's note, instead of failing the sweep.
@@ -357,22 +391,39 @@ def snr_sweep(
     _check_samples(n_outer, m_inner)
 
     bounds_plan = plan(model)
+    reports = [evaluate(bounds_plan, e) for e in grid]
+    # one task per (point, level), every first level before any second: the
+    # costliest estimates start first and the short later levels fill in at
+    # the end, so no worker is left alone with a long last task
+    tasks = sorted(
+        ((i, nu) for i, r in enumerate(reports) if r.feasible for nu in range(1, r.kappa + 1)),
+        key=lambda task: (task[1], task[0]),
+    )
 
-    def point(i: int) -> SweepRecord:
-        report = evaluate(bounds_plan, grid[i])
+    def estimate(task: tuple[int, int]) -> MiEstimate:
+        i, nu = task
+        return estimate_pair_mi(
+            model,
+            bounds_plan.chain,
+            reports[i].alloc,
+            nu,
+            n_outer,
+            m_inner,
+            seed=np.random.SeedSequence([root_seed, i, nu]),
+        )
+
+    if workers == 1:
+        estimates = dict(zip(tasks, map(estimate, tasks)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            estimates = dict(zip(tasks, pool.map(estimate, tasks)))
+
+    def record(i: int, report: BoundReport) -> SweepRecord:
         total = stderr = None
         if report.feasible:
             total = var = 0.0
             for nu in range(1, report.kappa + 1):
-                est = estimate_pair_mi(
-                    model,
-                    bounds_plan.chain,
-                    report.alloc,
-                    nu,
-                    n_outer,
-                    m_inner,
-                    seed=np.random.SeedSequence([root_seed, i, nu]),
-                )
+                est = estimates[i, nu]
                 total += est.value
                 var += est.stderr**2
             stderr = math.sqrt(var)
@@ -391,10 +442,7 @@ def snr_sweep(
             note=report.note,
         )
 
-    if workers == 1:
-        return [point(i) for i in range(len(grid))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, range(len(grid))))
+    return [record(i, report) for i, report in enumerate(reports)]
 
 
 def _csv_cell(value) -> str:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.special import i0e
+from scipy.special import i0e, logsumexp
 from scipy.stats import kstest
 
 from fadenet import simulate
@@ -281,6 +281,30 @@ class TestMagnitudeQuadrature:
             assert abs(fine.value - base.value) < 1e-6, (snr, base, fine)
 
 
+class TestLogsumexpRows:
+    """The quadrature's own row-wise log-sum-exp, against scipy's."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            np.random.default_rng(1).normal(scale=1e-3, size=(7, 50)),
+            np.random.default_rng(2).normal(scale=1.0, size=(7, 50)),
+            np.random.default_rng(3).normal(scale=1e3, size=(7, 50)),
+            np.random.default_rng(4).normal(size=(5, 1)),
+            np.full((1, 40), 2.5),
+            -1e5 + np.random.default_rng(5).normal(scale=10.0, size=(3, 30)),
+        ],
+        ids=["spread_1e-3", "spread_1", "spread_1e3", "one_column", "equal_row", "near_-1e5"],
+    )
+    def test_matches_scipy(self, block):
+        expected = logsumexp(block, axis=-1)
+        scratch = block.copy()
+        got = simulate._logsumexp_rows(scratch)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+        # the kernel overwrites its argument, as its docstring says
+        assert not np.array_equal(scratch, block)
+
+
 class TestOutputLaw:
     def test_matches_sampled_fading(self):
         # the correlated Rician block (1, 1), (1, 2) of a Z-channel: fading
@@ -309,6 +333,24 @@ def _z_channel() -> Topology:
     # kappa* = 2; level 1's witness (receiver 1) also hears level 2's
     # transmitter, so level 1 has d = 1 and level 2 has d = 0
     return Topology(n_t=2, n_r=2, zeros=frozenset({(2, 1)}))
+
+
+def _scipy_rows(block):
+    return logsumexp(block, axis=-1)
+
+
+def _assert_row_kernel_matches_scipy(model, chain, monkeypatch):
+    # swapping the quadrature's log-sum-exp for scipy's moves each estimate
+    # only by rounding
+    for snr in (1e8, 1e16):
+        alloc = allocation(snr, 2)
+        for nu in (1, 2):
+            own = estimate_pair_mi(model, chain, alloc, nu, 500, 200, seed=5)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_logsumexp_rows", _scipy_rows)
+                ref = estimate_pair_mi(model, chain, alloc, nu, 500, 200, seed=5)
+            assert own.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
+            assert own.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=1e-12)
 
 
 class TestInterfererQuadrature:
@@ -375,6 +417,17 @@ class TestInterfererQuadrature:
                     patch.setattr(simulate, "_GL_NODES_PER_PANEL", 2 * simulate._GL_NODES_PER_PANEL)
                     fine = estimate_pair_mi(model, chain, alloc, nu, 300, 200, seed=4)
                 assert abs(fine.value - base.value) < 1e-6
+
+    @pytest.mark.parametrize(
+        "z_model", ["iid", "witness_rician", "comparable_interferer"], indirect=True
+    )
+    def test_row_kernel_matches_scipy_estimates(self, z_model, monkeypatch):
+        _assert_row_kernel_matches_scipy(*z_model, monkeypatch)
+
+    def test_row_kernel_matches_scipy_estimates_on_diagonal(self, monkeypatch):
+        topo = generate("diagonal", 2)
+        _, chain = longest_chain(topo)
+        _assert_row_kernel_matches_scipy(FadingModel.iid_rayleigh(topo), chain, monkeypatch)
 
     @pytest.mark.parametrize("mu", [0j, 1.0 + 0.5j])
     @pytest.mark.parametrize("sigma2", [1.0, 1e6])
@@ -463,6 +516,31 @@ class TestSnrSweep:
         serial = snr_sweep(model, grid, 400, 120, seed=77, workers=1)
         pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
         assert records_to_csv(serial) == records_to_csv(pooled)
+
+    def test_worker_count_never_changes_bytes_on_a_rician_interferer_level(self):
+        # level 1 of this Z-channel has d = 1 and a fading mean, so each
+        # quadrature call fills two scratch blocks of its own
+        topo = _z_channel()
+        model = FadingModel.from_mapping(topo, means={(1, 1): 1.0 + 0.5j, (2, 2): -0.8j})
+        grid = [1e8, 1e12, 1e16]
+        serial = snr_sweep(model, grid, 400, 120, seed=77, workers=1)
+        pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
+        assert records_to_csv(serial) == records_to_csv(pooled)
+
+    def test_first_levels_are_queued_before_later_ones(self, pair_network, monkeypatch):
+        # the costliest estimates start first, and infeasible points queue none
+        calls = []
+        real = simulate.estimate_pair_mi
+
+        def recording(model, chain, alloc, nu, *args, **kwargs):
+            calls.append((nu, alloc.levels[0]))
+            return real(model, chain, alloc, nu, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "estimate_pair_mi", recording)
+        records = snr_sweep(pair_network, [1e5, 1e8, 1e10], 200, 100, seed=5)
+        assert [r.feasible for r in records] == [False, True, True]
+        windows = [allocation(e, 2).levels[0] for e in (1e8, 1e10)]
+        assert calls == [(1, windows[0]), (1, windows[1]), (2, windows[0]), (2, windows[1])]
 
     def test_infeasible_point_is_isolated(self, pair_network):
         model = pair_network
