@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .fading import FadingModel, block_mutual_information, log_h_squared_mean
 from .powerchain import PowerChain, decompose, longest_chain, validate_chain
@@ -105,15 +104,23 @@ def min_valid_snr(kappa: int) -> float:
     The binding constraint sits at the weakest level: with u = log E and
     k = kappa*(kappa+1) it reads exp(u/k) > u.  For kappa = 1 that holds for
     every E > 1, so e is reported as a safe floor; otherwise the threshold is
-    the upper root of exp(u/k) = u, which is u = -k W_{-1}(-1/k) on the
-    lower branch of the Lambert W function.
+    the upper root of exp(u/k) = u, found by Newton's method on
+    u - k log u = 0.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     k = float(kappa * (kappa + 1))
     if k < math.e:  # exp(u/k) - u is then positive for every u
         return math.e
-    u = -k * float(special.lambertw(-1.0 / k, -1).real)
+    # Newton from u = 2k log k, which lies above the root for every k >= 6;
+    # u - k log u is convex and increasing there, so the iterates fall
+    # monotonically onto the root
+    u = 2.0 * k * math.log(k)
+    while True:
+        step = (u - k * math.log(u)) / (1.0 - k / u)
+        u -= step
+        if step <= 4e-16 * u:
+            break
     # The root sits on the boundary, where rounding can leave allocation()
     # with an empty weakest window; step 1e-12 relative onto the feasible side.
     return math.exp(u * (1.0 + 1e-12))
@@ -371,7 +378,7 @@ def alpha_penalty(alpha: float) -> float:
     """log Gamma(alpha) - alpha log alpha, the free part of the duality bound."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return float(special.gammaln(alpha) - alpha * math.log(alpha))
+    return math.lgamma(alpha) - alpha * math.log(alpha)
 
 
 def duality_upper_bound(
@@ -441,6 +448,12 @@ class _Phase:
         return self.head + alpha_penalty(1.0 / delta)
 
 
+def _digamma_int(n: int) -> float:
+    """digamma(n) for an integer n >= 1: the harmonic number H_{n-1} minus
+    the Euler-Mascheroni constant."""
+    return math.fsum(1.0 / j for j in range(1, n)) - float(np.euler_gamma)
+
+
 def _duality_phase(model: FadingModel, rx: list[int], tx: list[int], t_star: int) -> _Phase:
     n_r = len(rx)
     n_t = len(tx)
@@ -471,10 +484,10 @@ def _duality_phase(model: FadingModel, rx: list[int], tx: list[int], t_star: int
     rho0 = _LOG_PI_E - h_cond / n_r
     sup_term = n_r * float(np.logaddexp(log_a + rho0, log_nr)) - n_r * _LOG_PI_E
     return _Phase(
-        head=n_r * _LOG_PI - float(special.gammaln(n_r)) + sup_term + 1.0,
+        head=n_r * _LOG_PI - math.lgamma(n_r) + sup_term + 1.0,
         log_frob2=math.log(frob2),
         log_nr=log_nr,
-        digamma_nr=float(special.digamma(n_r)),
+        digamma_nr=_digamma_int(n_r),
     )
 
 
@@ -533,7 +546,7 @@ def plan(model: FadingModel) -> Plan:
         levels=_chain_levels(model, chain),
         phases=tuple(phases),
         cross_block_mi=tuple(cross_terms),
-        log_permutation_count=float(special.gammaln(topo.n_t + 1)),
+        log_permutation_count=math.lgamma(topo.n_t + 1),
     )
 
 

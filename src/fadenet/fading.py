@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .topology import Topology, _is_int
 
@@ -207,7 +206,9 @@ def log_h_squared_mean(mean: complex, variance: float) -> float:
     ratio = abs(complex(mean)) ** 2 / variance
     if ratio < 1e-14:
         return math.log(variance) - _EULER_GAMMA
-    return math.log(variance) + math.log(ratio) + float(special.exp1(ratio))
+    from scipy.special import exp1
+
+    return math.log(variance) + math.log(ratio) + float(exp1(ratio))
 
 
 def log_h_squared_mean_mc(

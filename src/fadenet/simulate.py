@@ -15,6 +15,8 @@ are deterministic composite Gauss-Legendre rules over log-magnitudes, with
 the phases averaged exactly (a Bessel factor when the fading has a mean).
 The quadrature sums its exponentials with its own in-place log-sum-exp
 (``_logsumexp_rows``); the nested path keeps scipy's as an independent oracle.
+scipy is imported only by the levels that need it: those with a fading mean
+(the Bessel factor) and those on the nested path.
 Other levels, and every level when the caller supplies its own magnitude
 law, use a nested plug-in: each density is an equal-weight mixture of output
 laws over fresh inner draws of the inputs it does not condition on, so the
@@ -38,7 +40,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import i0e, logsumexp
 
 from .bounds import BoundReport, PowerAllocation, _chain_level, evaluate, plan
 from .fading import FadingModel, _as_generator, _standard_complex
@@ -69,6 +70,16 @@ _GL_RICIAN_PANELS = 2.5
 # (480 nodes) fit in one block.  It also sizes the one scratch block (two
 # with a fading mean) that each quadrature log f(y) call allocates
 _BLOCK_ELEMENTS = 128_000
+
+
+def __getattr__(name: str):
+    # perfbench/run.py traces scipy's logsumexp as ``simulate.logsumexp``;
+    # resolve it on access, so that loading this module imports no scipy
+    if name == "logsumexp":
+        from scipy.special import logsumexp
+
+        return logsumexp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _level_inputs(
@@ -149,6 +160,8 @@ def _magnitude_quadrature(
     """
     max_width = _GL_PANEL_WIDTH
     if mu != 0:
+        from scipy.special import i0e
+
         max_width = min(max_width, _GL_RICIAN_PANELS * math.sqrt(eps2) / abs(mu))
     s, log_w = _gl_rule(math.log(x_lo), math.log(x_hi), max_width)
     if xi_window is None:
@@ -281,6 +294,8 @@ def estimate_pair_mi(
         quadrature = _magnitude_quadrature(
             mu[0], level.eps2, x_lo, x_hi, sigma[1:, 1:].trace().real, *windows
         )
+    else:
+        from scipy.special import logsumexp
 
     def draw_target(shape: tuple) -> np.ndarray:
         if magnitude_sampler is None:

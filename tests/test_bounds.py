@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from fadenet import bounds
 from fadenet.bounds import (
     AllocationInfeasibleError,
     PowerAllocation,
@@ -55,6 +57,26 @@ class TestMinValidSnr:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             min_valid_snr(0)
+
+
+class TestScipyFreeForms:
+    """The scalar special functions the bounds compute without scipy, each
+    against the scipy function it replaced."""
+
+    @pytest.mark.parametrize("kappa", range(2, 10))
+    def test_min_valid_snr_matches_lambert_w(self, kappa):
+        k = kappa * (kappa + 1)
+        u = -k * float(special.lambertw(-1.0 / k, -1).real)
+        assert min_valid_snr(kappa) == pytest.approx(math.exp(u * (1.0 + 1e-12)), rel=1e-15)
+
+    def test_digamma_at_integers(self):
+        for n in range(1, 65):
+            assert bounds._digamma_int(n) == pytest.approx(float(special.digamma(n)), abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 2.5, 7.3, 100.0])
+    def test_alpha_penalty_matches_gammaln(self, alpha):
+        expected = float(special.gammaln(alpha)) - alpha * math.log(alpha)
+        assert alpha_penalty(alpha) == pytest.approx(expected, rel=1e-15, abs=1e-300)
 
 
 class TestAllocation:
