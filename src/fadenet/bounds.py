@@ -83,20 +83,6 @@ class PowerAllocation:
     def kappa(self) -> int:
         return len(self.levels)
 
-    def separation_ratios(self) -> tuple[float, ...]:
-        """Per level, x_min^2 over the largest x_max^2 of the weaker levels."""
-        out = []
-        for k in range(self.kappa - 1):
-            x_min = self.levels[k][0]
-            strongest_below = max(x_max for _, x_max in self.levels[k + 1 :])
-            out.append((x_min / strongest_below) ** 2)
-        return tuple(out)
-
-    def log_spread(self, nu: int) -> float:
-        """log(x_max^2 / x_min^2) of level ``nu`` (1-based), overflow-safe."""
-        x_min, x_max = self.levels[nu - 1]
-        return 2.0 * (math.log(x_max) - math.log(x_min))
-
 
 def min_valid_snr(kappa: int) -> float:
     """Smallest budget above which the layered allocation is well ordered.
@@ -229,8 +215,7 @@ class BoundReport:
     ``per_level_terms`` pairs each level's scalar rate guarantee with its
     interference penalty.  ``upper_bound`` is None until a converse value is
     attached.  ``constants`` keeps the raw ingredients for inspection.
-    ``alloc`` is the allocation the bounds were evaluated on;
-    :meth:`to_json_dict` leaves it out.
+    ``alloc`` is the allocation the bounds were evaluated on.
 
     Below the feasibility threshold (see :func:`evaluate`) the report is
     infeasible: no allocation, bounds or per-level terms, ``loglog_term``
@@ -250,23 +235,6 @@ class BoundReport:
     @property
     def feasible(self) -> bool:
         return self.alloc is not None
-
-    def to_json_dict(self) -> dict:
-        head = {
-            "snr": self.snr,
-            "kappa": self.kappa,
-            "loglog_term": self.loglog_term,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-        }
-        if not self.feasible:
-            return {**head, "feasible": False, "note": self.note}
-        return {
-            **head,
-            "per_level_terms": [list(pair) for pair in self.per_level_terms],
-            "constants": self.constants,
-            "feasible": True,
-        }
 
 
 @dataclass(frozen=True)

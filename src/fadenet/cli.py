@@ -3,7 +3,8 @@
 Four subcommands: ``kappa`` (longest-chain computation), ``decompose``
 (chain decomposition under a given transmitter ordering), ``bounds``
 (analytic bound evaluation over an SNR grid), and ``sweep`` (bounds plus the
-Monte Carlo estimate, written as CSV or JSON).
+Monte Carlo estimate).  Both grid tables, CSV or JSON, are written by the one
+writer ``_write_grid``; this module is the only one that knows their format.
 
 Every stochastic run demands an explicit --seed and is then bit-reproducible,
 including under --workers parallelism.  Exit codes: 0 success, 2 bad input,
@@ -16,14 +17,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from .bounds import evaluate, plan
+from .bounds import BoundReport, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, decompose, longest_chain
-from .simulate import (
-    _check_grid, _to_csv, fit_loglog_slope, records_to_csv, records_to_json, snr_sweep
-)
+from .simulate import _check_grid, fit_loglog_slope, snr_sweep
 from .topology import Topology, load_topology, parse_generator_spec, prune
 
 _EXIT_OK = 0
@@ -32,6 +33,9 @@ _EXIT_SIZE_GUARD = 3
 _EXIT_INFEASIBLE = 4
 
 _MC_SNR_CAP = 1e16  # estimator variance is unvalidated beyond this
+
+_BOUNDS_HEADER = ("E", "kappa", "loglog", "lower", "upper", "feasible")
+_SWEEP_HEADER = ("E", "kappa_star", "loglog", "lower", "mc", "mc_stderr", "upper", "feasible")
 
 
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
@@ -168,6 +172,57 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _to_csv(rows: Iterable[Sequence]) -> str:
+    """CSV text with one line per row of cells.
+
+    Floats are written with repr, the shortest round-trip form, so equal
+    values always produce equal bytes.
+    """
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+
+
+def _write_grid(
+    args: argparse.Namespace, header: Sequence[str], cells: Iterable[Sequence], docs: Iterable
+) -> None:
+    """Emit ``cells`` as CSV under ``header``, or ``docs`` as an indented JSON
+    list, as --format asks; only the one consumed is built from its iterator."""
+    if args.format == "json":
+        text = json.dumps(list(docs), indent=2) + "\n"
+    else:
+        text = _to_csv([header, *cells])
+    _emit(text, args.out)
+
+
+def _bounds_doc(report: BoundReport) -> dict:
+    """A bounds JSON row: the allocation is left out, and an infeasible row
+    carries its note in place of the per-level terms and constants."""
+    head = {
+        "snr": report.snr,
+        "kappa": report.kappa,
+        "loglog_term": report.loglog_term,
+        "lower_bound": report.lower_bound,
+        "upper_bound": report.upper_bound,
+    }
+    if not report.feasible:
+        return {**head, "feasible": False, "note": report.note}
+    return {
+        **head,
+        "per_level_terms": [list(pair) for pair in report.per_level_terms],
+        "constants": report.constants,
+        "feasible": True,
+    }
+
+
 def cmd_kappa(args: argparse.Namespace) -> int:
     topo = _load_topo(args)
     kappa_star, chain = longest_chain(topo)
@@ -218,14 +273,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if not _any_feasible(reports):
         return _EXIT_INFEASIBLE
 
-    if args.format == "json":
-        _emit(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n", args.out)
-    else:
-        cells = [
-            (r.snr, r.kappa, r.loglog_term, r.lower_bound, r.upper_bound, r.feasible)
-            for r in reports
-        ]
-        _emit(_to_csv([("E", "kappa", "loglog", "lower", "upper", "feasible")] + cells), args.out)
+    cells = (
+        (r.snr, r.kappa, r.loglog_term, r.lower_bound, r.upper_bound, r.feasible) for r in reports
+    )
+    _write_grid(args, _BOUNDS_HEADER, cells, map(_bounds_doc, reports))
 
     if args.plot_data:
         points = [(math.log(math.log(r.snr)), r.lower_bound) for r in reports if r.feasible]
@@ -247,8 +298,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not _any_feasible(records):
         return _EXIT_INFEASIBLE
 
-    text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
-    _emit(text, args.out)
+    cells = (
+        (r.snr, r.kappa_star, r.loglog_term, r.analytic_lower, r.mc_estimate, r.mc_stderr,
+         r.analytic_upper, r.feasible)
+        for r in records
+    )
+    _write_grid(args, _SWEEP_HEADER, cells, map(asdict, records))
 
     try:
         slope, _, _ = fit_loglog_slope(records)

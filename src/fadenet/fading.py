@@ -211,20 +211,6 @@ def log_h_squared_mean(mean: complex, variance: float) -> float:
     return math.log(variance) + math.log(ratio) + float(exp1(ratio))
 
 
-def log_h_squared_mean_mc(
-    mean: complex, variance: float, n_samples: int = 10**6, seed=0
-) -> tuple[float, float]:
-    """Monte Carlo E[log |H|^2] with its standard error; an independent
-    sampling check on the exponential-integral identity of
-    :func:`log_h_squared_mean`."""
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    rng = _as_generator(seed)
-    h = complex(mean) + math.sqrt(variance) * _standard_complex(rng, n_samples)
-    values = np.log(np.abs(h) ** 2)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
-
-
 def block_mutual_information(
     model: FadingModel,
     entries_a: Iterable[tuple[int, int]],

@@ -33,10 +33,9 @@ so the worker count never changes the output bytes.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,8 +49,6 @@ __all__ = [
     "SweepRecord",
     "estimate_pair_mi",
     "snr_sweep",
-    "records_to_csv",
-    "records_to_json",
     "fit_loglog_slope",
 ]
 
@@ -458,50 +455,6 @@ def snr_sweep(
         )
 
     return [record(i, report) for i, report in enumerate(reports)]
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _to_csv(rows: Iterable[Sequence]) -> str:
-    """CSV text with one line per row of cells.
-
-    Floats are written with repr, the shortest round-trip form, so equal
-    values always produce equal bytes.
-    """
-    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
-
-
-def records_to_csv(records: Sequence[SweepRecord]) -> str:
-    """Render sweep records as CSV with a fixed schema."""
-    header = ("E", "kappa_star", "loglog", "lower", "mc", "mc_stderr", "upper", "feasible")
-    return _to_csv(
-        [header]
-        + [
-            (
-                rec.snr,
-                rec.kappa_star,
-                rec.loglog_term,
-                rec.analytic_lower,
-                rec.mc_estimate,
-                rec.mc_stderr,
-                rec.analytic_upper,
-                rec.feasible,
-            )
-            for rec in records
-        ]
-    )
-
-
-def records_to_json(records: Sequence[SweepRecord]) -> str:
-    return json.dumps([asdict(rec) for rec in records], indent=2) + "\n"
 
 
 def fit_loglog_slope(

@@ -33,6 +33,7 @@ from fadenet.simulate import (
     snr_sweep,
 )
 from fadenet.topology import generate
+from oracles import separation_ratios
 
 EULER_GAMMA = 0.5772156649015329
 GRID = [1e8, 1e10, 1e12, 1e14, 1e16]
@@ -123,7 +124,7 @@ def test_criterion_04_allocation_validity():
     nested = alloc.levels[0][0] > alloc.levels[1][1]
     ratio_ok = all(
         r == pytest.approx(math.log(1e8) ** 2, rel=1e-9)
-        for r in alloc.separation_ratios()
+        for r in separation_ratios(alloc)
     )
     ok = in_range and nested and ratio_ok
     assert _report("4", ok, f"threshold={threshold:.6g}")

@@ -393,6 +393,40 @@ class TestUnprunedTopologyFile:
         assert "prunes to nothing" in err
 
 
+# JSON row keys in the order they are written
+BOUNDS_HEAD = ["snr", "kappa", "loglog_term", "lower_bound", "upper_bound"]
+SWEEP_KEYS = [
+    "snr", "kappa_star", "loglog_term", "analytic_lower", "mc_estimate", "mc_stderr",
+    "analytic_upper", "n_outer", "m_inner", "seed", "feasible", "note",
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_grid_table_on_out_matches_stdout(capsys, tmp_path, command, fmt):
+    # a mixed grid: 1e5..1e7 lie below the two-level threshold, 1e8 and 1e9 above
+    argv = [command, "--gen", "diagonal:2", "--grid", "5,9,5", "--format", fmt]
+    if command == "sweep":
+        argv += ["--seed", "1", "--outer", "100", "--inner", "100"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "table"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+    if fmt == "csv":
+        return
+    rows = json.loads(out)
+    assert [row["feasible"] for row in rows] == [False, False, False, True, True]
+    for row in rows:
+        if command == "sweep":
+            assert list(row) == SWEEP_KEYS
+        elif row["feasible"]:
+            assert list(row) == BOUNDS_HEAD + ["per_level_terms", "constants", "feasible"]
+        else:
+            assert list(row) == BOUNDS_HEAD + ["feasible", "note"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,11 +11,11 @@ from fadenet.fading import (
     fading_model_to_dict,
     load_fading_model,
     log_h_squared_mean,
-    log_h_squared_mean_mc,
     memory_gap_ar1,
     save_fading_model,
 )
 from fadenet.topology import generate
+from oracles import log_h_squared_mean_mc
 
 EULER_GAMMA = 0.5772156649015329
 

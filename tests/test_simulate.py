@@ -9,7 +9,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import i0e, logsumexp
 from scipy.stats import kstest
 
-from fadenet import simulate
+from fadenet import cli, simulate
 from fadenet.bounds import allocation, scalar_mi_lower_bound
 from fadenet.fading import FadingModel, _standard_complex, log_h_squared_mean
 from fadenet.powerchain import PowerChain, longest_chain
@@ -17,8 +17,6 @@ from fadenet.simulate import (
     SweepRecord,
     estimate_pair_mi,
     fit_loglog_slope,
-    records_to_csv,
-    records_to_json,
     snr_sweep,
 )
 from fadenet.topology import Topology, generate, prune
@@ -515,7 +513,8 @@ class TestSnrSweep:
         grid = [1e5, 1e8, 1e10]
         serial = snr_sweep(model, grid, 400, 120, seed=77, workers=1)
         pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
-        assert records_to_csv(serial) == records_to_csv(pooled)
+        # repr spells out every field, each float in the form the CSV writes
+        assert repr(serial) == repr(pooled)
 
     def test_worker_count_never_changes_bytes_on_a_rician_interferer_level(self):
         # level 1 of this Z-channel has d = 1 and a fading mean, so each
@@ -525,7 +524,7 @@ class TestSnrSweep:
         grid = [1e8, 1e12, 1e16]
         serial = snr_sweep(model, grid, 400, 120, seed=77, workers=1)
         pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
-        assert records_to_csv(serial) == records_to_csv(pooled)
+        assert repr(serial) == repr(pooled)
 
     def test_first_levels_are_queued_before_later_ones(self, pair_network, monkeypatch):
         # the costliest estimates start first, and infeasible points queue none
@@ -596,9 +595,22 @@ def _fake_record(snr, mc, feasible=True):
 
 
 class TestSerialization:
-    def test_csv_exact_bytes(self):
+    """Sweep records as the ``sweep`` command writes them."""
+
+    @pytest.fixture
+    def write(self, monkeypatch, capsys):
         records = [_fake_record(1e8, 2.5), _fake_record(10.0, 0.0, feasible=False)]
-        got = records_to_csv(records)
+        monkeypatch.setattr(cli, "snr_sweep", lambda *args, **kwargs: records)
+
+        def written(fmt):
+            argv = ["sweep", "--gen", "full:1,1", "--grid", "1,8,2", "--seed", "0"]
+            assert cli.main(argv + ["--format", fmt]) == 0
+            return capsys.readouterr().out
+
+        return written
+
+    def test_csv_exact_bytes(self, write):
+        got = write("csv")
         expected = (
             "E,kappa_star,loglog,lower,mc,mc_stderr,upper,feasible\n"
             "100000000.0,1,2.9134739869277917,1.5,2.5,0.01,3.5,true\n"
@@ -606,9 +618,8 @@ class TestSerialization:
         )
         assert got == expected
 
-    def test_json_round_trip(self):
-        records = [_fake_record(1e8, 2.5), _fake_record(10.0, 0.0, feasible=False)]
-        parsed = json.loads(records_to_json(records))
+    def test_json_round_trip(self, write):
+        parsed = json.loads(write("json"))
         assert parsed[0]["mc_estimate"] == 2.5
         assert parsed[1]["mc_estimate"] is None
         assert parsed[1]["feasible"] is False

@@ -1,5 +1,6 @@
 """scipy stays off the start-up path: importing the CLI, and every zero-mean
-``kappa``, ``bounds`` and quadrature ``sweep`` run, loads no scipy module.
+``kappa``, ``bounds`` and quadrature ``sweep`` run, CSV or JSON, loads no
+scipy module.
 Each check runs in a fresh interpreter, since pytest's own process has
 already imported scipy."""
 
@@ -44,9 +45,10 @@ def test_zero_mean_runs_load_no_scipy():
         from fadenet import cli
         after_import = scipy_modules()
         run(["kappa", "--gen", "diagonal:5"])
-        run(["bounds", "--gen", "diagonal:2", "--grid", "8,16,3"])
-        run(["sweep", "--gen", "diagonal:2", "--grid", "8,16,3",
-             "--outer", "100", "--inner", "100", "--seed", "0"])
+        for fmt in ("csv", "json"):
+            run(["bounds", "--gen", "diagonal:2", "--grid", "8,16,3", "--format", fmt])
+            run(["sweep", "--gen", "diagonal:2", "--grid", "8,16,3", "--format", fmt,
+                 "--outer", "100", "--inner", "100", "--seed", "0"])
         print(json.dumps({"import": after_import, "runs": scipy_modules()}))
         """
     )
