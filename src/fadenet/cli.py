@@ -141,17 +141,19 @@ def _load_pruned_network(args: argparse.Namespace) -> FadingModel:
     """The model of a grid command, on its topology with silent transmitters
     and deaf receivers removed.
 
-    The model is read against the file's own labels.  Pruning drops only
-    all-zero rows and columns and relabels monotonically, so the surviving
-    entries keep their sorted order and the model's arrays carry over as
-    they are.  Output labels are the pruned ones.
+    The model is read against the file's own labels.  Pruning drops no
+    fading entry and relabels the survivors in ascending order, so entry i
+    of the file's ``nonzero_pairs()`` is entry i of the pruned one and the
+    model's arrays carry over as they are
+    (``tests/test_topology.py::test_prune_keeps_fading_entries_in_order``).
+    Output labels are the pruned ones.
     """
     topo = _load_topo(args)
     model = _load_model(args, topo)
     pruned = prune(topo)
-    if pruned.degenerate:
+    if pruned.is_empty:
         raise ValueError("topology prunes to nothing: no receiver hears any transmitter")
-    return FadingModel(pruned.topology, model.means, model.covariance, model.ar1_rho)
+    return FadingModel(pruned, model.means, model.covariance, model.ar1_rho)
 
 
 def _parse_grid(spec: str) -> list[float]:

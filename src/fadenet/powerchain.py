@@ -53,14 +53,12 @@ class PowerChain:
 
 def validate_chain(topo: Topology, chain: PowerChain) -> None:
     """Check chain conditions and witness admissibility against a topology."""
-    if not is_power_chain(topo, chain.transmitters):
+    fresh = _fresh_receivers(topo, chain.transmitters)
+    if not all(fresh):
         raise ValueError(f"{chain.transmitters} is not a power chain of the topology")
-    covered: set[int] = set()
-    for t, r in zip(chain.transmitters, chain.witnesses):
-        fresh = topo.hearers(t) - covered
-        if r not in fresh:
+    for t, r, new in zip(chain.transmitters, chain.witnesses, fresh):
+        if not (1 <= r <= topo.n_r and new >> (r - 1) & 1):
             raise ValueError(f"witness {r} for transmitter {t} is not newly reached")
-        covered |= topo.hearers(t)
 
 
 def is_power_chain(topo: Topology, transmitters: Sequence[int]) -> bool:
@@ -69,19 +67,23 @@ def is_power_chain(topo: Topology, transmitters: Sequence[int]) -> bool:
 
     Raises on duplicate or out-of-range transmitter indices.
     """
+    return all(_fresh_receivers(topo, transmitters))
+
+
+def _fresh_receivers(topo: Topology, transmitters: Sequence[int]) -> list[int]:
+    """Per member, the bitmask of receivers it reaches and no predecessor does."""
+    masks = topo.hearer_masks
     seen: set[int] = set()
+    covered = 0
+    fresh = []
     for t in transmitters:
         topo._check_transmitter(t)
         if t in seen:
             raise ValueError(f"duplicate transmitter {t} in chain tuple")
         seen.add(t)
-    masks = topo.hearer_masks
-    covered = 0
-    for t in transmitters:
-        if not masks[t - 1] & ~covered:
-            return False
+        fresh.append(masks[t - 1] & ~covered)
         covered |= masks[t - 1]
-    return True
+    return fresh
 
 
 def longest_chain(topo: Topology, *, max_receivers: int = 24) -> tuple[int, PowerChain]:

@@ -13,14 +13,12 @@ With no interferer heard, or one zero-mean interferer uncorrelated with the
 witness entry, y is Gaussian given the input magnitudes, so both densities
 are deterministic composite Gauss-Legendre rules over log-magnitudes, with
 the phases averaged exactly (a Bessel factor when the fading has a mean).
-The quadrature sums its exponentials with its own in-place log-sum-exp
-(``_logsumexp_rows``); the nested path keeps scipy's as an independent oracle.
-scipy is imported only by the levels that need it: those with a fading mean
-(the Bessel factor) and those on the nested path.
 Other levels, and every level when the caller supplies its own magnitude
 law, use a nested plug-in: each density is an equal-weight mixture of output
 laws over fresh inner draws of the inputs it does not condition on, so the
-only approximation error is Monte Carlo.
+only approximation error is Monte Carlo.  Both paths sum their exponentials
+with one in-place log-sum-exp (``_logsumexp_rows``), and scipy is imported
+only by the quadrature levels whose fading has a mean (the Bessel factor).
 
 A sweep evaluates the bounds through :func:`fadenet.bounds.evaluate` on one
 budget-free plan of the network, and adds the summed per-level estimates at
@@ -291,8 +289,6 @@ def estimate_pair_mi(
         quadrature = _magnitude_quadrature(
             mu[0], level.eps2, x_lo, x_hi, sigma[1:, 1:].trace().real, *windows
         )
-    else:
-        from scipy.special import logsumexp
 
     def draw_target(shape: tuple) -> np.ndarray:
         if magnitude_sampler is None:
@@ -312,7 +308,7 @@ def estimate_pair_mi(
         # per column of x
         mean, var = draw_output_law(x)
         comp = -np.log(math.pi * var) - np.abs(y[:, None] - mean) ** 2 / var
-        return logsumexp(comp, axis=-1) - math.log(x.shape[-1])
+        return _logsumexp_rows(comp) - math.log(x.shape[-1])
 
     chunk = max(1, _BLOCK_ELEMENTS // m_inner) if quadrature is None else 256
     vals = np.empty(n_outer)
@@ -424,11 +420,8 @@ def snr_sweep(
             seed=np.random.SeedSequence([root_seed, i, nu]),
         )
 
-    if workers == 1:
-        estimates = dict(zip(tasks, map(estimate, tasks)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = dict(zip(tasks, pool.map(estimate, tasks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        estimates = dict(zip(tasks, pool.map(estimate, tasks)))
 
     def record(i: int, report: BoundReport) -> SweepRecord:
         total = stderr = None

@@ -2,15 +2,21 @@
 
 A network is described purely by which (receiver, transmitter) pairs carry a
 deterministically zero channel gain; every other pair fades randomly.  All
-public indices are 1-based.  The cached boolean hearing matrix is the source
-of truth for the algorithms built on top of this module.
+public indices are 1-based.  The set ``zeros`` is the one stored form of the
+pattern and ``hearer_masks``, one bitmask of hearing receivers per
+transmitter, the one index derived from it; the chain algorithms walk the
+masks.
+
+Pruning drops silent transmitters and deaf receivers in a single pass: none
+of them is in a hearing pair, so removing them strands no other node.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +24,6 @@ import numpy as np
 __all__ = [
     "GENERATOR_KINDS",
     "Topology",
-    "PruneResult",
     "prune",
     "generate",
     "parse_generator_spec",
@@ -56,39 +61,18 @@ class Topology:
         object.__setattr__(self, "zeros", frozenset(pairs))
 
     @cached_property
-    def hearing(self) -> np.ndarray:
-        """Boolean matrix; ``hearing[r-1, t-1]`` is True iff (r, t) is not a zero pair."""
-        h = np.ones((self.n_r, self.n_t), dtype=bool)
-        for r, t in self.zeros:
-            h[r - 1, t - 1] = False
-        h.setflags(write=False)
-        return h
-
-    @cached_property
     def hearer_masks(self) -> tuple[int, ...]:
-        """Per-transmitter bitmasks of hearing receivers (bit r-1 set for receiver r)."""
-        masks = []
-        for t in range(self.n_t):
-            mask = 0
-            for r in np.flatnonzero(self.hearing[:, t]):
-                mask |= 1 << int(r)
-            masks.append(mask)
+        """Per-transmitter bitmasks of hearing receivers: bit r-1 of entry t-1
+        is set iff (r, t) is not a zero pair."""
+        masks = [(1 << self.n_r) - 1] * self.n_t
+        for r, t in self.zeros:
+            masks[t - 1] &= ~(1 << (r - 1))
         return tuple(masks)
-
-    def hearers(self, t: int) -> set[int]:
-        """Receivers that hear transmitter ``t``."""
-        self._check_transmitter(t)
-        return {int(r) + 1 for r in np.flatnonzero(self.hearing[:, t - 1])}
-
-    def heard(self, r: int) -> set[int]:
-        """Transmitters heard by receiver ``r``."""
-        self._check_receiver(r)
-        return {int(t) + 1 for t in np.flatnonzero(self.hearing[r - 1, :])}
 
     def nonzero_pairs(self) -> list[tuple[int, int]]:
         """All (receiver, transmitter) pairs that fade randomly, sorted."""
-        rs, ts = np.nonzero(self.hearing)
-        return sorted((int(r) + 1, int(t) + 1) for r, t in zip(rs, ts))
+        pairs = ((r, t) for r in range(1, self.n_r + 1) for t in range(1, self.n_t + 1))
+        return [pair for pair in pairs if pair not in self.zeros]
 
     @property
     def is_empty(self) -> bool:
@@ -99,7 +83,8 @@ class Topology:
         """True when every transmitter has a hearer and every receiver hears someone."""
         if self.is_empty:
             return False
-        return bool(self.hearing.any(axis=0).all() and self.hearing.any(axis=1).all())
+        masks = self.hearer_masks
+        return all(masks) and reduce(or_, masks) == (1 << self.n_r) - 1
 
     def _check_transmitter(self, t: int) -> None:
         if not 1 <= t <= self.n_t:
@@ -110,52 +95,26 @@ class Topology:
             raise ValueError(f"receiver index {r} out of range 1..{self.n_r}")
 
 
-@dataclass(frozen=True)
-class PruneResult:
-    """Outcome of :func:`prune`, with index maps from old labels to new ones."""
-
-    topology: Topology
-    removed_transmitters: tuple[int, ...]
-    removed_receivers: tuple[int, ...]
-    transmitter_map: dict[int, int]
-    receiver_map: dict[int, int]
-    degenerate: bool
-
-
-def prune(topo: Topology) -> PruneResult:
+def prune(topo: Topology) -> Topology:
     """Drop receivers that hear nothing and transmitters that nobody hears.
 
-    Removal is iterated to a fixed point, since deleting a receiver can leave a
-    transmitter unheard and vice versa.  Surviving indices are re-compacted in
-    ascending order; the result records both removals and the index maps.  A
-    network that prunes away entirely is flagged ``degenerate``.
+    One pass reaches the fixed point: a deaf receiver or a silent transmitter
+    is in no hearing pair, so removing it leaves every other node's hearing
+    pairs, and hence its survival, as they were.  Survivors are relabelled
+    in ascending order, so the fading entries keep their sorted order.  A
+    network that prunes away entirely comes back empty (``is_empty``).
     """
-    h = topo.hearing
-    keep_r = np.ones(topo.n_r, dtype=bool)
-    keep_t = np.ones(topo.n_t, dtype=bool)
-    while True:
-        new_r = keep_r & h[:, keep_t].any(axis=1) if keep_t.any() else np.zeros_like(keep_r)
-        new_t = keep_t & h[new_r, :].any(axis=0) if new_r.any() else np.zeros_like(keep_t)
-        if np.array_equal(new_r, keep_r) and np.array_equal(new_t, keep_t):
-            break
-        keep_r, keep_t = new_r, new_t
-
-    r_map = {int(old) + 1: new + 1 for new, old in enumerate(np.flatnonzero(keep_r))}
-    t_map = {int(old) + 1: new + 1 for new, old in enumerate(np.flatnonzero(keep_t))}
+    heard = reduce(or_, topo.hearer_masks, 0)
+    kept_t = [t for t, mask in enumerate(topo.hearer_masks, start=1) if mask]
+    kept_r = [r for r in range(1, topo.n_r + 1) if heard >> (r - 1) & 1]
+    t_new = {t: i for i, t in enumerate(kept_t, start=1)}
+    r_new = {r: i for i, r in enumerate(kept_r, start=1)}
     zeros = {
-        (r_map[r], t_map[t])
+        (r_new[r], t_new[t])
         for r, t in topo.zeros
-        if r in r_map and t in t_map
+        if r in r_new and t in t_new
     }
-    pruned = Topology(n_t=len(t_map), n_r=len(r_map), zeros=frozenset(zeros))
-    return PruneResult(
-        topology=pruned,
-        removed_transmitters=tuple(t for t in range(1, topo.n_t + 1) if t not in t_map),
-        removed_receivers=tuple(r for r in range(1, topo.n_r + 1) if r not in r_map),
-        transmitter_map=t_map,
-        receiver_map=r_map,
-        degenerate=pruned.is_empty,
-    )
+    return Topology(n_t=len(kept_t), n_r=len(kept_r), zeros=frozenset(zeros))
 
 
 def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
@@ -221,7 +180,7 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
         mask = rng.random((n_r, n_t)) < p
         zeros = {(int(r) + 1, int(t) + 1) for r, t in zip(*np.nonzero(mask))}
         raw = Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros))
-        return prune(raw).topology
+        return prune(raw)
     raise ValueError(f"unknown topology kind {kind!r}; expected one of {GENERATOR_KINDS}")
 
 

@@ -168,7 +168,7 @@ def test_size_guards():
 
 
 def test_longest_chain_empty_topology():
-    empty = prune(Topology(n_t=1, n_r=1, zeros=frozenset({(1, 1)}))).topology
+    empty = prune(Topology(n_t=1, n_r=1, zeros=frozenset({(1, 1)})))
     with pytest.raises(ValueError):
         longest_chain(empty)
 
@@ -186,6 +186,13 @@ def test_validate_chain_rejects_unheard_witness():
     topo = generate("diagonal", 2)
     with pytest.raises(ValueError):
         validate_chain(topo, PowerChain(transmitters=(1,), witnesses=(2,)))
+
+
+def test_validate_chain_rejects_witness_out_of_range():
+    topo = generate("diagonal", 2)
+    for r in (0, -1, 3):
+        with pytest.raises(ValueError, match="not newly reached"):
+            validate_chain(topo, PowerChain(transmitters=(1,), witnesses=(r,)))
 
 
 def test_power_chain_length_mismatch():

@@ -682,7 +682,7 @@ def _small_pruned_topologies(draw):
     n_r = draw(st.integers(1, 4))
     cells = [(r, t) for r in range(1, n_r + 1) for t in range(1, n_t + 1)]
     zeros = draw(st.sets(st.sampled_from(cells)))
-    topo = prune(Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros))).topology
+    topo = prune(Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros)))
     assume(not topo.is_empty and longest_chain(topo)[0] <= 2)
     return topo
 

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,55 +28,30 @@ def test_construction_validates_ranges():
         Topology(n_t=2, n_r=2, zeros=frozenset({(3, 1)}))
 
 
-def test_hearing_matrix_is_complement_of_zeros():
+def test_hearer_masks_are_complement_of_zeros():
     topo = generate("wyner_linear", 3)
-    h = topo.hearing
-    assert h.shape == (4, 3)
-    for t in range(1, 4):
-        heard_rows = {r for r in range(1, 5) if h[r - 1, t - 1]}
-        assert heard_rows == {t, t + 1}
-        assert topo.hearers(t) == {t, t + 1}
-    assert topo.heard(1) == {1}
-    assert topo.heard(2) == {1, 2}
-    assert topo.heard(4) == {3}
-
-
-def test_hearing_matrix_read_only():
-    topo = generate("diagonal", 3)
-    with pytest.raises(ValueError):
-        topo.hearing[0, 0] = False
+    assert (topo.n_r, topo.n_t) == (4, 3)
+    # transmitter t is heard by receivers {t, t+1}
+    assert topo.hearer_masks == (0b0011, 0b0110, 0b1100)
+    assert topo.nonzero_pairs() == [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)]
 
 
 def test_full_topology_everyone_hears_everyone():
     topo = generate("full", 2, 3)
     assert topo.zeros == frozenset()
-    for t in (1, 2):
-        assert topo.hearers(t) == {1, 2, 3}
-    for r in (1, 2, 3):
-        assert topo.heard(r) == {1, 2}
+    assert topo.hearer_masks == (0b111, 0b111)
 
 
 def test_diagonal_pairs_only():
     topo = generate("diagonal", 4)
-    assert topo.hearers(2) == {2}
-    assert topo.heard(3) == {3}
+    assert topo.hearer_masks == (0b0001, 0b0010, 0b0100, 0b1000)
     assert len(topo.zeros) == 12
 
 
 def test_wyner_cyclic_wraps():
     topo = generate("wyner_cyclic", 4)
     assert topo.n_r == 4
-    assert topo.hearers(4) == {4, 1}
-
-
-def test_out_of_range_queries_rejected():
-    topo = generate("diagonal", 2)
-    with pytest.raises(ValueError):
-        topo.hearers(0)
-    with pytest.raises(ValueError):
-        topo.hearers(3)
-    with pytest.raises(ValueError):
-        topo.heard(5)
+    assert topo.hearer_masks == (0b0011, 0b0110, 0b1100, 0b1001)
 
 
 def test_prune_removes_silent_and_deaf():
@@ -85,16 +59,9 @@ def test_prune_removes_silent_and_deaf():
     zeros = {(3, 1), (3, 2), (3, 3), (1, 3), (2, 3)}
     topo = Topology(n_t=3, n_r=3, zeros=frozenset(zeros))
     assert not topo.is_pruned
-    result = prune(topo)
-    assert result.removed_transmitters == (3,)
-    assert result.removed_receivers == (3,)
-    assert result.topology.n_t == 2
-    assert result.topology.n_r == 2
-    assert result.topology.is_pruned
-    assert not result.degenerate
-    # old index -> new index maps
-    assert result.transmitter_map == {1: 1, 2: 2}
-    assert result.receiver_map == {1: 1, 2: 2}
+    pruned = prune(topo)
+    assert pruned == Topology(n_t=2, n_r=2)
+    assert pruned.is_pruned
 
 
 def test_prune_cascades():
@@ -102,29 +69,27 @@ def test_prune_cascades():
     # the other, and the fixed point here keeps both.
     zeros = {(1, 2), (2, 1)}
     topo = Topology(n_t=2, n_r=2, zeros=frozenset(zeros))
-    assert prune(topo).topology == topo
+    assert prune(topo) == topo
 
-    # t3 is silent; r2 heard only t3; t2 reached only r2: two-stage cascade
+    # t2 and t3 reach nobody and r2 hears nobody; none of the three is in a
+    # hearing pair, so no cascade is possible and one pass removes all three
     zeros = {(1, 3), (2, 3), (2, 1), (2, 2), (1, 2)}
     topo = Topology(n_t=3, n_r=2, zeros=frozenset(zeros))
-    result = prune(topo)
-    assert result.removed_transmitters == (2, 3)
-    assert result.removed_receivers == (2,)
-    assert result.topology == Topology(n_t=1, n_r=1)
+    assert prune(topo) == Topology(n_t=1, n_r=1)
 
 
 def test_prune_degenerate_all_zero():
     topo = Topology(n_t=2, n_r=2, zeros=frozenset({(r, t) for r in (1, 2) for t in (1, 2)}))
-    result = prune(topo)
-    assert result.degenerate
-    assert result.topology.is_empty
-    assert not result.topology.is_pruned
+    pruned = prune(topo)
+    assert pruned == Topology(n_t=0, n_r=0)
+    assert pruned.is_empty
+    assert not pruned.is_pruned
 
 
 def test_prune_idempotent_on_families():
     for spec in ("full:3,2", "diagonal:4", "wyner_linear:3", "wyner_cyclic:5"):
         topo = parse_generator_spec(spec)
-        assert prune(topo).topology == topo
+        assert prune(topo) == topo
 
 
 def test_random_generator_is_seeded_and_pruned():
@@ -217,13 +182,22 @@ def topologies(draw):
 @given(topologies())
 @settings(max_examples=150, deadline=None)
 def test_prune_reaches_fixed_point(topo):
-    result = prune(topo)
-    pruned = result.topology
+    pruned = prune(topo)
     assert pruned.is_pruned or pruned.is_empty
-    assert prune(pruned).topology == pruned
-    # maps cover exactly the survivors, contiguously renumbered
-    assert sorted(result.transmitter_map.values()) == list(range(1, pruned.n_t + 1))
-    assert sorted(result.receiver_map.values()) == list(range(1, pruned.n_r + 1))
+    assert prune(pruned) == pruned
+
+
+@given(topologies())
+@settings(max_examples=150, deadline=None)
+def test_prune_keeps_fading_entries_in_order(topo):
+    # the survivors are exactly the nodes of some fading entry, relabelled in
+    # ascending order: entry i of the original maps to entry i of the pruned
+    pairs = topo.nonzero_pairs()
+    new_r = {r: i for i, r in enumerate(sorted({r for r, _ in pairs}), start=1)}
+    new_t = {t: i for i, t in enumerate(sorted({t for _, t in pairs}), start=1)}
+    pruned = prune(topo)
+    assert (pruned.n_r, pruned.n_t) == (len(new_r), len(new_t))
+    assert pruned.nonzero_pairs() == [(new_r[r], new_t[t]) for r, t in pairs]
 
 
 @given(topologies())
@@ -235,4 +209,12 @@ def test_serialization_round_trips(topo):
 @given(topologies())
 @settings(max_examples=150, deadline=None)
 def test_hearing_counts_match_zero_count(topo):
-    assert int(np.sum(topo.hearing)) == topo.n_t * topo.n_r - len(topo.zeros)
+    masks = topo.hearer_masks
+    assert sum(mask.bit_count() for mask in masks) == topo.n_t * topo.n_r - len(topo.zeros)
+    hearing = [
+        (r, t)
+        for r in range(1, topo.n_r + 1)
+        for t in range(1, topo.n_t + 1)
+        if masks[t - 1] >> (r - 1) & 1
+    ]
+    assert topo.nonzero_pairs() == hearing
