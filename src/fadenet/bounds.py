@@ -9,13 +9,13 @@ sides are exact finite-SNR formulas, in nats, so they can be compared point
 by point against Monte Carlo estimates.
 
 Only the allocation windows and the duality bound's alpha term depend on the
-budget.  :func:`plan` computes everything else once per network, and
-:func:`evaluate` adds the budget-dependent half at one grid point.
+budget.  :func:`plan` computes everything else once per network;
+:meth:`Plan.upper_bound` is the converse at one budget, and :func:`evaluate`
+gives both bounds at one grid point.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,8 +37,6 @@ __all__ = [
     "scheme_rate_lower_bound",
     "alpha_penalty",
     "duality_upper_bound",
-    "converse_envelope",
-    "converse_envelope_report",
     "Plan",
     "plan",
     "evaluate",
@@ -213,8 +211,10 @@ class BoundReport:
     """Evaluated bounds at one power budget.
 
     ``per_level_terms`` pairs each level's scalar rate guarantee with its
-    interference penalty.  ``upper_bound`` is None until a converse value is
-    attached.  ``constants`` keeps the raw ingredients for inspection.
+    interference penalty.  ``upper_bound`` is the converse,
+    :meth:`Plan.upper_bound`, in a report from :func:`evaluate`, and None in
+    one from :func:`scheme_rate_lower_bound`.  ``constants`` keeps the raw
+    ingredients for inspection.
     ``alloc`` is the allocation the bounds were evaluated on.
 
     Below the feasibility threshold (see :func:`evaluate`) the report is
@@ -287,7 +287,7 @@ def _loglog_term(kappa: int, snr: float) -> float | None:
 
 
 def _scheme_report(
-    levels: Sequence[_ChainLevel], frob2: float, alloc: PowerAllocation
+    levels: Sequence[_ChainLevel], frob2: float, alloc: PowerAllocation, upper: float | None
 ) -> BoundReport:
     terms = []
     level_details = []
@@ -318,7 +318,7 @@ def _scheme_report(
         kappa=kappa,
         loglog_term=_loglog_term(kappa, snr),
         lower_bound=float(sum(term for term, _ in terms)),
-        upper_bound=None,
+        upper_bound=upper,
         per_level_terms=tuple(terms),
         constants={"frob_second_moment": frob2, "levels": level_details},
         alloc=alloc,
@@ -339,7 +339,7 @@ def scheme_rate_lower_bound(model: FadingModel, chain: PowerChain, snr: float) -
     if len(chain) == 0:
         raise ValueError("chain must have at least one member")
     alloc = allocation(snr, len(chain))
-    return _scheme_report(_chain_levels(model, chain), model.frob_second_moment, alloc)
+    return _scheme_report(_chain_levels(model, chain), model.frob_second_moment, alloc, None)
 
 
 def alpha_penalty(alpha: float) -> float:
@@ -480,6 +480,25 @@ class Plan:
     def kappa_star(self) -> int:
         return len(self.chain)
 
+    def upper_bound(self, snr: float) -> float:
+        """Converse upper envelope (nats) at budget ``snr``, for the identity
+        ordering of the network, at every budget including E = 0.
+
+        Each phase of :func:`plan`'s decomposition is bounded by
+        :func:`duality_upper_bound`, the cross-phase coupling adds block
+        mutual informations, and the receiver's freedom to re-sort the
+        transmitters costs at most log n_t!.  The headline shape is
+        kappa_star * log(1 + log(1 + E)) plus everything else folded into a
+        bounded constant.
+        """
+        loglog = math.log1p(math.log1p(snr))
+        constant = (
+            sum(phase.upper_bound(snr) - loglog for phase in self.phases)
+            + sum(self.cross_block_mi)
+            + self.log_permutation_count
+        )
+        return self.kappa_star * loglog + constant
+
 
 def plan(model: FadingModel) -> Plan:
     """The budget-free half of both bounds on the model's topology, from one
@@ -492,7 +511,7 @@ def plan(model: FadingModel) -> Plan:
     """
     topo = model.topo
     if not topo.is_pruned:
-        raise ValueError("converse envelope requires a pruned topology")
+        raise ValueError("plan requires a pruned topology")
     decomp = decompose(topo, tuple(range(1, topo.n_t + 1)))
     _, chain = longest_chain(topo)
 
@@ -518,46 +537,9 @@ def plan(model: FadingModel) -> Plan:
     )
 
 
-def _converse_report(plan: Plan, snr: float) -> dict:
-    loglog = math.log1p(math.log1p(snr))
-    per_phase = [phase.upper_bound(snr) for phase in plan.phases]
-    constant = (
-        sum(u - loglog for u in per_phase) + sum(plan.cross_block_mi) + plan.log_permutation_count
-    )
-    return {
-        "snr": snr,
-        "kappa_star": plan.kappa_star,
-        "loglog_term": plan.kappa_star * loglog,
-        "constant": constant,
-        "per_phase_upper": per_phase,
-        "cross_block_mi": list(plan.cross_block_mi),
-        "log_permutation_count": plan.log_permutation_count,
-        "value": plan.kappa_star * loglog + constant,
-    }
-
-
-def converse_envelope_report(model: FadingModel, snr: float) -> dict:
-    """Converse upper envelope with its breakdown, for the identity ordering
-    of the model's topology.
-
-    Each phase of :func:`plan`'s decomposition is bounded by
-    :func:`duality_upper_bound`, the cross-phase coupling adds block mutual
-    informations, and the receiver's freedom to re-sort the transmitters
-    costs at most log n_t!.  The headline shape is
-    kappa_star * log(1 + log(1 + E)) plus everything else folded into a
-    bounded constant.
-    """
-    return _converse_report(plan(model), snr)
-
-
-def converse_envelope(model: FadingModel, snr: float) -> float:
-    """Converse upper envelope (nats); see :func:`converse_envelope_report`."""
-    return float(converse_envelope_report(model, snr)["value"])
-
-
 def evaluate(plan: Plan, snr: float) -> BoundReport:
     """Both bounds at budget ``snr``: :func:`scheme_rate_lower_bound` along the
-    plan's chain, with :func:`converse_envelope` as ``upper_bound``.
+    plan's chain, with :meth:`Plan.upper_bound` as ``upper_bound``.
 
     Defined for every budget: below :func:`min_valid_snr` of kappa* the
     layered scheme does not exist, and the report comes back infeasible with
@@ -577,5 +559,4 @@ def evaluate(plan: Plan, snr: float) -> BoundReport:
             alloc=None,
             note=f"below feasibility threshold {exc.threshold:.6g}",
         )
-    report = _scheme_report(plan.levels, plan.frob2, alloc)
-    return dataclasses.replace(report, upper_bound=_converse_report(plan, snr)["value"])
+    return _scheme_report(plan.levels, plan.frob2, alloc, plan.upper_bound(snr))

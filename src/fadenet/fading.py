@@ -120,11 +120,12 @@ class FadingModel:
         pairs = topo.nonzero_pairs()
         index = {pair: i for i, pair in enumerate(pairs)}
         mean_vec = np.zeros(len(pairs), dtype=np.complex128)
-        for pair, value in (means or {}).items():
-            key = (int(pair[0]), int(pair[1]))
-            if key not in index:
-                raise ValueError(f"{key} is not a fading entry of the topology")
-            mean_vec[index[key]] = complex(value)
+        for (r, t), value in (means or {}).items():
+            if not (_is_int(r) and _is_int(t)):
+                raise ValueError(f"mean label {(r, t)!r} must be integers")
+            if (r, t) not in index:
+                raise ValueError(f"{(r, t)} is not a fading entry of the topology")
+            mean_vec[index[r, t]] = complex(value)
         if covariance is None:
             covariance = np.eye(len(pairs), dtype=np.complex128)
         return cls(topo=topo, means=mean_vec, covariance=covariance, ar1_rho=ar1_rho)
@@ -223,8 +224,10 @@ def block_mutual_information(
     joint covariance singular; that is reported as ``inf`` rather than an
     arbitrary large number.
     """
-    a = [(int(r), int(t)) for r, t in entries_a]
-    b = [(int(r), int(t)) for r, t in entries_b]
+    a = [(r, t) for r, t in entries_a]
+    b = [(r, t) for r, t in entries_b]
+    if not all(_is_int(r) and _is_int(t) for r, t in a + b):
+        raise ValueError("entry labels must be integers")
     if len(set(a)) != len(a) or len(set(b)) != len(b) or set(a) & set(b):
         raise ValueError("entry groups must be disjoint and free of duplicates")
     if not a or not b:
@@ -287,7 +290,7 @@ def fading_model_from_dict(topo: Topology, doc: dict) -> FadingModel:
     for row in doc.get("means", []):
         if not (isinstance(row, (list, tuple)) and len(row) == 4):
             raise ValueError(f"malformed mean entry {row!r}; expected [r, t, re, im]")
-        if not (_is_int(row[0]) and _is_int(row[1])):
+        if not (_is_int(row[0]) and _is_int(row[1])):  # before the duplicate test hashes them
             raise ValueError(f"mean entry {row!r} must label its entry with integers")
         key = (row[0], row[1])
         if key in means:

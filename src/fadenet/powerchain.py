@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-from .topology import Topology
+from .topology import Topology, _is_int
 
 __all__ = [
     "SizeGuardError",
@@ -207,9 +207,10 @@ def decompose(topo: Topology, permutation: Sequence[int]) -> ChainDecomposition:
     skipped transmitters are grouped with the most recent kept one.  Requires
     a pruned topology so that the receiver blocks partition all receivers.
     """
-    perm = tuple(int(t) for t in permutation)
-    if sorted(perm) != list(range(1, topo.n_t + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{topo.n_t}")
+    perm = tuple(permutation)
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, topo.n_t + 1)):
+        raise ValueError(f"{perm!r} is not a permutation of the integers 1..{topo.n_t}")
+    perm = tuple(map(int, perm))
     if not topo.is_pruned:
         raise ValueError("decompose requires a pruned topology")
 

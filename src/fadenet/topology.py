@@ -50,14 +50,17 @@ class Topology:
     zeros: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.n_t) and _is_int(self.n_r)):
+            raise ValueError("n_t and n_r must be integers")
         if self.n_t < 0 or self.n_r < 0:
             raise ValueError("transmitter and receiver counts must be non-negative")
         pairs = set()
-        for pair in self.zeros:
-            r, t = int(pair[0]), int(pair[1])
+        for r, t in self.zeros:
+            if not (_is_int(r) and _is_int(t)):
+                raise ValueError(f"zero pair {(r, t)!r} must hold integers")
             if not (1 <= r <= self.n_r and 1 <= t <= self.n_t):
                 raise ValueError(f"zero pair {(r, t)} out of range for {self.n_r}x{self.n_t} network")
-            pairs.add((r, t))
+            pairs.add((int(r), int(t)))
         object.__setattr__(self, "zeros", frozenset(pairs))
 
     @cached_property
@@ -223,9 +226,9 @@ def topology_to_dict(topo: Topology) -> dict:
 
 
 def _is_int(value) -> bool:
-    """Whether a decoded JSON value is an integer (JSON true and false decode
-    to bools, which Python counts as ints)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether a node label or count is an integer: a Python or numpy int,
+    but not a bool (which Python counts as an int), a float or a string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def topology_from_dict(doc: dict) -> Topology:
@@ -239,9 +242,6 @@ def topology_from_dict(doc: dict) -> Topology:
     for key in ("n_t", "n_r", "zeros"):
         if key not in doc:
             raise ValueError(f"topology document missing {key!r}")
-    n_t, n_r = doc["n_t"], doc["n_r"]
-    if not (_is_int(n_t) and _is_int(n_r)):
-        raise ValueError("n_t and n_r must be integers")
     raw = doc["zeros"]
     if not isinstance(raw, list):
         raise ValueError("zeros must be a list of [receiver, transmitter] pairs")
@@ -250,12 +250,12 @@ def topology_from_dict(doc: dict) -> Topology:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ValueError(f"malformed zero entry {item!r}")
         r, t = item
-        if not (_is_int(r) and _is_int(t)):
+        if not (_is_int(r) and _is_int(t)):  # before the duplicate test hashes them
             raise ValueError(f"zero entry {item!r} must hold integers")
         pairs.append((r, t))
     if len(set(pairs)) != len(pairs):
         raise ValueError("duplicate zero entries in topology document")
-    return Topology(n_t=n_t, n_r=n_r, zeros=frozenset(pairs))
+    return Topology(n_t=doc["n_t"], n_r=doc["n_r"], zeros=frozenset(pairs))
 
 
 def load_topology(path: str | Path) -> Topology:

@@ -11,8 +11,6 @@ from fadenet.bounds import (
     PowerAllocation,
     allocation,
     alpha_penalty,
-    converse_envelope,
-    converse_envelope_report,
     duality_upper_bound,
     effective_noise_variance,
     evaluate,
@@ -22,7 +20,7 @@ from fadenet.bounds import (
     scalar_mi_lower_bound,
     scheme_rate_lower_bound,
 )
-from fadenet.fading import FadingModel
+from fadenet.fading import FadingModel, block_mutual_information
 from fadenet.powerchain import longest_chain
 from fadenet.topology import Topology, generate
 from oracles import log_spread, separation_ratios
@@ -288,65 +286,79 @@ class TestDualityUpperBound:
             duality_upper_bound(model, 1e8)
 
 
+@pytest.fixture
+def z_channel():
+    # receiver 1 hears both transmitters, receiver 2 only the second;
+    # entries in sorted order: (1, 1), (1, 2), (2, 2).  Rician means and
+    # a correlated covariance reach eps2, the duality phases and the
+    # cross-block MI
+    topo = Topology(n_t=2, n_r=2, zeros=frozenset({(2, 1)}))
+    cov = np.array(
+        [[1.0, 0.3 + 0.1j, 0.2], [0.3 - 0.1j, 1.5, 0.1 + 0.2j], [0.2, 0.1 - 0.2j, 1.0]]
+    )
+    means = {(1, 1): 1.0 + 0.5j, (1, 2): 0.3 - 0.2j, (2, 2): -0.8j}
+    return FadingModel.from_mapping(topo, means=means, covariance=cov)
+
+
+def two_phase_converse(model, snr, cross):
+    """The converse of a two-transmitter network whose receiver 1 hears
+    transmitter 1 and receiver 2 only transmitter 2, from public per-block
+    pieces: the duality bound of each phase of the identity ordering, the
+    cross-block MI between them and log 2!."""
+    return (
+        duality_upper_bound(model, snr, t_star=1, receivers=[1], transmitters=[1, 2])
+        + duality_upper_bound(model, snr, t_star=2, receivers=[2], transmitters=[2])
+        + cross
+        + math.log(2.0)
+    )
+
+
 class TestConverseEnvelope:
     def test_zero_budget_anchor(self):
-        topo = generate("diagonal", 2)
-        model = FadingModel.iid_rayleigh(topo)
-        report = converse_envelope_report(model, 0.0)
-        assert report["loglog_term"] == 0.0
-        assert report["value"] == report["constant"]
+        network = plan(FadingModel.iid_rayleigh(generate("diagonal", 2)))
+        # log(1 + log(1 + 0)) = 0: the value is the phases, cross MIs and log n_t! alone
+        constant = (
+            sum(phase.upper_bound(0.0) for phase in network.phases)
+            + sum(network.cross_block_mi)
+            + network.log_permutation_count
+        )
+        assert network.upper_bound(0.0) == constant
+
+    def test_defined_where_the_scheme_is_not(self, z_channel):
+        network = plan(z_channel)
+        assert not evaluate(network, 1e6).feasible
+        for snr in (0.0, 1e6):
+            assert math.isfinite(network.upper_bound(snr))
 
     def test_frozen_two_user_value(self):
-        topo = generate("diagonal", 2)
-        model = FadingModel.iid_rayleigh(topo)
-        assert converse_envelope(model, 1e8) == pytest.approx(
-            8.722043665838022, rel=1e-9
-        )
+        network = plan(FadingModel.iid_rayleigh(generate("diagonal", 2)))
+        assert network.upper_bound(1e8) == pytest.approx(8.722043665838022, rel=1e-9)
 
     def test_full_network_coefficient_is_one(self):
-        topo = generate("full", 2, 2)
-        model = FadingModel.iid_rayleigh(topo)
-        report = converse_envelope_report(model, 1e10)
-        assert report["kappa_star"] == 1
-        assert len(report["per_phase_upper"]) == 1
+        network = plan(FadingModel.iid_rayleigh(generate("full", 2, 2)))
+        assert network.kappa_star == 1
+        assert len(network.phases) == 1
 
     @pytest.mark.parametrize("spec", ["diagonal:2", "full:2,2", "wyner_cyclic:4"])
     def test_gap_to_loglog_is_bounded(self, spec):
         topo = generate(*_parse(spec))
-        model = FadingModel.iid_rayleigh(topo)
+        network = plan(FadingModel.iid_rayleigh(topo))
         kappa_star, _ = longest_chain(topo)
         gaps = [
-            converse_envelope(model, e) - kappa_star * math.log(math.log(e))
+            network.upper_bound(e) - kappa_star * math.log(math.log(e))
             for e in np.geomspace(1e8, 1e16, 5)
         ]
         assert max(gaps) - min(gaps) < 2.0
 
     def test_identity_decomposition_phases_match_duality(self):
-        topo = generate("diagonal", 2)
-        model = FadingModel.iid_rayleigh(topo)
-        report = converse_envelope_report(model, 1e8)
-        phase1 = duality_upper_bound(model, 1e8, t_star=1, receivers=[1], transmitters=[1, 2])
-        phase2 = duality_upper_bound(model, 1e8, t_star=2, receivers=[2], transmitters=[2])
-        assert report["per_phase_upper"][0] == pytest.approx(phase1, rel=1e-12)
-        assert report["per_phase_upper"][1] == pytest.approx(phase2, rel=1e-12)
-        assert report["cross_block_mi"] == [0.0]
-        assert report["log_permutation_count"] == pytest.approx(math.log(2.0), rel=1e-12)
+        model = FadingModel.iid_rayleigh(generate("diagonal", 2))
+        cross = block_mutual_information(model, [(1, 1)], [(2, 2)])
+        assert cross == 0.0  # independent entries
+        upper = two_phase_converse(model, 1e8, cross)
+        assert plan(model).upper_bound(1e8) == pytest.approx(upper, rel=1e-12)
 
 
 class TestPlan:
-    @pytest.fixture
-    def z_channel(self):
-        # receiver 1 hears both transmitters, receiver 2 only the second;
-        # entries in sorted order: (1, 1), (1, 2), (2, 2).  Rician means and
-        # a correlated covariance reach eps2, the duality phases and the
-        # cross-block MI
-        topo = Topology(n_t=2, n_r=2, zeros=frozenset({(2, 1)}))
-        cov = np.array(
-            [[1.0, 0.3 + 0.1j, 0.2], [0.3 - 0.1j, 1.5, 0.1 + 0.2j], [0.2, 0.1 - 0.2j, 1.0]]
-        )
-        means = {(1, 1): 1.0 + 0.5j, (1, 2): 0.3 - 0.2j, (2, 2): -0.8j}
-        return FadingModel.from_mapping(topo, means=means, covariance=cov)
-
     @pytest.mark.parametrize("snr", [1e8, 1e12, 1e16])
     def test_evaluate_equals_the_public_bounds(self, z_channel, snr):
         model = z_channel
@@ -354,9 +366,11 @@ class TestPlan:
         report = evaluate(plan(model), snr)
         lower = scheme_rate_lower_bound(model, chain, snr)
         assert report.lower_bound == lower.lower_bound
-        assert report.upper_bound == converse_envelope(model, snr)
         assert dataclasses.replace(report, upper_bound=None) == lower
-        assert converse_envelope_report(model, snr)["cross_block_mi"][0] > 0.0
+        cross = block_mutual_information(model, [(1, 1), (1, 2)], [(2, 2)])
+        assert cross > 0.0  # the correlated covariance couples the phases
+        upper = two_phase_converse(model, snr, cross)
+        assert report.upper_bound == pytest.approx(upper, rel=1e-12)
 
     def test_evaluate_below_threshold_is_infeasible(self, z_channel):
         report = evaluate(plan(z_channel), 1e6)

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadenet.fading import FadingModel, block_mutual_information
+from fadenet.powerchain import decompose
 from fadenet.topology import (
     GENERATOR_KINDS,
     Topology,
@@ -26,6 +29,31 @@ def test_construction_validates_ranges():
         Topology(n_t=2, n_r=2, zeros=frozenset({(1, 3)}))
     with pytest.raises(ValueError):
         Topology(n_t=2, n_r=2, zeros=frozenset({(3, 1)}))
+    for size in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="integers"):
+            Topology(n_t=size, n_r=2)
+
+
+Z_CHANNEL = Topology(n_t=2, n_r=2, zeros=frozenset({(2, 1)}))
+# each public entry point that takes node labels, called with labels (a, 2);
+# (1, 2) is valid everywhere
+LABELLED = {
+    "Topology": lambda a, b: Topology(n_t=2, n_r=2, zeros=frozenset({(a, b)})),
+    "from_mapping": lambda a, b: FadingModel.from_mapping(Z_CHANNEL, means={(a, b): 1.0}),
+    "block_mutual_information": lambda a, b: block_mutual_information(
+        FadingModel.iid_rayleigh(Z_CHANNEL), [(a, 1)], [(2, b)]
+    ),
+    "decompose": lambda a, b: decompose(Z_CHANNEL, (a, b)),
+}
+
+
+@pytest.mark.parametrize("label", [1.5, 1.0, True, "1"])
+@pytest.mark.parametrize("entry_point", LABELLED)
+def test_labels_must_be_integers(entry_point, label):
+    # checked, not truncated: each of these once ran as label 1
+    LABELLED[entry_point](np.int64(1), np.int32(2))
+    with pytest.raises(ValueError, match="integers"):
+        LABELLED[entry_point](label, 2)
 
 
 def test_hearer_masks_are_complement_of_zeros():
