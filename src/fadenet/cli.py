@@ -117,7 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
         "levels with two or more interferers or a correlated or nonzero-mean "
         "one; every other level uses deterministic quadrature",
     )
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel grid points")
+    p_sweep.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="threads sharing the (grid point, level) estimates; the output "
+        "bytes do not depend on it",
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

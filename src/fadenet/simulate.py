@@ -11,14 +11,17 @@ output is complex Gaussian (``_output_law``).  Outer samples are drawn
 through that law and the estimate averages log f(y|x) - log f(y) over them.
 With no interferer heard, or one zero-mean interferer uncorrelated with the
 witness entry, y is Gaussian given the input magnitudes, so both densities
-are deterministic composite Gauss-Legendre rules over log-magnitudes, with
-the phases averaged exactly (a Bessel factor when the fading has a mean).
-Other levels, and every level when the caller supplies its own magnitude
-law, use a nested plug-in: each density is an equal-weight mixture of output
-laws over fresh inner draws of the inputs it does not condition on, so the
-only approximation error is Monte Carlo.  Both paths sum their exponentials
-with one in-place log-sum-exp (``_logsumexp_rows``), and scipy is imported
-only by the quadrature levels whose fading has a mean (the Bessel factor).
+are deterministic, with the phases averaged exactly (a Bessel factor when
+the fading has a mean): composite Gauss-Legendre over the interferer's
+log-magnitude, and over the target's log-magnitude an exact average through
+the exponential integral when the fading has zero mean (Gauss-Legendre with
+a mean, and on the few rows the closed form does not cover).  Other levels,
+and every level when the caller supplies its own magnitude law, use a nested
+plug-in: each density is an equal-weight mixture of output laws over fresh
+inner draws of the inputs it does not condition on, so the only
+approximation error is Monte Carlo.  Both paths sum their exponentials with
+one in-place log-sum-exp (``_logsumexp_rows``), and scipy is imported only
+by the quadrature levels whose fading has a mean (the Bessel factor).
 
 A sweep evaluates the bounds through :func:`fadenet.bounds.evaluate` on one
 budget-free plan of the network, and adds the summed per-level estimates at
@@ -61,10 +64,21 @@ _GL_NODES_PER_PANEL = 8
 _GL_RICIAN_PANELS = 2.5
 # array elements evaluated at once: outer rows times quadrature nodes, or
 # outer rows times inner draws on the nested path (64 rows at the default
-# m_inner of 2000).  256 rows of the widest zero-mean interferer-free rule
-# (480 nodes) fit in one block.  It also sizes the one scratch block (two
-# with a fading mean) that each quadrature log f(y) call allocates
+# m_inner of 2000).  A zero-mean closed-form marginal takes rows times the
+# interferer nodes (one with no interferer); a Gauss-Legendre marginal
+# (Rician levels, zero-mean fallback rows) takes rows times the s nodes
+# (8-480 on a zero-mean level up to E = 1e16) times the interferer nodes.
+# It also sizes the scratch block (two with a fading mean) that each
+# Gauss-Legendre log f(y) call allocates
 _BLOCK_ELEMENTS = 128_000
+# zero-mean closed form of the s-average (``_magnitude_quadrature``): the
+# asymptotic series of e^-q Ei(q) is used from this q on and summed until a
+# term falls below the floor; a row whose delta = a^2 (1/v_lo - 1/v_hi) is
+# below the last value keeps the Gauss-Legendre rule, since the difference
+# of the two end terms would then lose digits
+_EI_SERIES_MIN = 40.0
+_EI_TERM_FLOOR = 1e-17
+_EI_MIN_DELTA = 1e-3
 
 
 def __getattr__(name: str):
@@ -125,6 +139,36 @@ def _logsumexp_rows(block: np.ndarray) -> np.ndarray:
     return total
 
 
+def _log_scaled_ei(q: np.ndarray) -> np.ndarray:
+    """log(q e^-q Ei(q)) for q >= ``_EI_SERIES_MIN``, elementwise: the log
+    of the asymptotic series sum_k k! / q^k (Abramowitz & Stegun, section
+    5.1), summed until a term falls below ``_EI_TERM_FLOOR`` or would stop
+    shrinking (k > q).  At q = 40 the series stops at its smallest term,
+    about 7e-17; from q = 1e5 on, five terms are needed."""
+    # the terms from k = 1 on, summed apart from the leading 1 and added
+    # back by log1p, so that a sum near 1/q keeps its relative precision.
+    # The first six shrink for every q >= 40 and are summed over the whole
+    # array (past the floor they add nothing); only the elements whose sixth
+    # term is still above the floor go on, one term at a time
+    flat = q.ravel()
+    rest = np.zeros(flat.size)
+    term = np.ones(flat.size)
+    for k in range(1, 7):
+        term *= k
+        term /= flat
+        rest += term
+    live = np.flatnonzero(term >= _EI_TERM_FLOOR)
+    term = term[live]
+    while live.size:
+        k += 1
+        q_live = flat[live]
+        term *= k / q_live
+        rest[live] += term
+        keep = (term >= _EI_TERM_FLOOR) & (k + 1 <= q_live)
+        live, term = live[keep], term[keep]
+    return np.log1p(rest, out=rest).reshape(q.shape)
+
+
 class _MagnitudeQuadrature(NamedTuple):
     log_conditional: Callable[[np.ndarray, np.ndarray], np.ndarray]
     log_marginal: Callable[[np.ndarray], np.ndarray]
@@ -145,13 +189,29 @@ def _magnitude_quadrature(
 
     Given |x| = r and |xi| = rho the phase averages are closed form,
         f(y | r, rho) = exp(-(|y|^2 + |mu|^2 r^2) / v) I0(z) / (pi v),
-    with v = 1 + eps2 r^2 + sigma2 rho^2 and z = 2 |mu| r |y| / v, and the
-    averages over s = log r and s' = log rho are a tensor product of
-    composite Gauss-Legendre rules.  The s panels are at most 0.25 wide, and
-    narrower with a strong mean, whose peak in s is about sqrt(eps2) / |mu|
-    wide.  The s' panels are at most 0.25 wide in (1/2) log v, whose slope in
-    s' is at most B / (A + B), with A = 1 + eps2 x_lo^2 and
-    B = sigma2 xi_hi^2; a weak interferer thus needs a single panel.
+    with v = 1 + eps2 r^2 + sigma2 rho^2 and z = 2 |mu| r |y| / v.  The
+    average over s' = log rho is a composite Gauss-Legendre rule, whose
+    panels are at most 0.25 wide in (1/2) log v, whose slope in s' is at most
+    B / (A + B), with A = 1 + eps2 x_lo^2 and B = sigma2 xi_hi^2; a weak
+    interferer thus needs a single panel.
+
+    With mu = 0 the average over s = log r is exact.  Given the interferer
+    node, c = 1 + sigma2 rho^2 (c = 1 with no interferer), and with
+    a^2 = |y|^2, W = log(x_hi / x_lo) and v_lo, v_hi the ends of v's range,
+        E_s[exp(-a^2 / v) / (pi v)]
+            = [e^-p G(q)]_{v_lo}^{v_hi} / (2 pi W c),
+    where p = a^2 / v, q = a^2 (1/c - 1/v) and G(q) = e^-q Ei(q); the bracket
+    is taken in log space from the asymptotic series of G (``_log_scaled_ei``).
+    The log-ratio of its two terms is delta - log1p(delta / q_lo) plus the
+    series' change, with delta = a^2 (1/v_lo - 1/v_hi), so the bracket needs
+    q >= 40 at v_lo and delta >= 1e-3.  A row that misses either on some
+    interferer node (an output far below the window, or an interferer node
+    comparable to the target's floor) keeps the Gauss-Legendre rule.
+
+    With mu != 0 the average over s is composite Gauss-Legendre too, in a
+    tensor product with the s' rule.  The s panels are at most 0.25 wide,
+    and narrower with a strong mean, whose peak in s is about
+    sqrt(eps2) / |mu| wide.
     """
     max_width = _GL_PANEL_WIDTH
     if mu != 0:
@@ -175,15 +235,24 @@ def _magnitude_quadrature(
     mu_r = np.repeat(abs(mu) * r, len(b))
     two_mu_r = 2.0 * mu_r
     rows = max(1, _BLOCK_ELEMENTS // len(v))
+    # rows per block of a rule over the interferer nodes alone: a 32nd of
+    # the element budget, since the closed form below keeps up to about ten
+    # arrays of that shape alive at once, and small blocks keep each sweep
+    # thread's heap small at little cost in time
+    b_rows = max(1, _BLOCK_ELEMENTS // (32 * len(b)))
 
     def log_conditional(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        var = (1.0 + eps2 * np.abs(x) ** 2)[:, None] + b
-        dist = np.abs(y - mu * x)[:, None] ** 2
-        comp = log_wb - np.log(math.pi * var) - dist / var
-        # a one-node rule (no interferer) needs no logsumexp
-        return comp[:, 0] if len(b) == 1 else _logsumexp_rows(comp)
+        out = np.empty(len(y))
+        for i in range(0, len(y), b_rows):
+            x_rows = x[i : i + b_rows]
+            var = (1.0 + eps2 * np.abs(x_rows) ** 2)[:, None] + b
+            dist = np.abs(y[i : i + b_rows] - mu * x_rows)[:, None] ** 2
+            comp = log_wb - np.log(math.pi * var) - dist / var
+            # a one-node rule (no interferer) needs no logsumexp
+            out[i : i + b_rows] = comp[:, 0] if len(b) == 1 else _logsumexp_rows(comp)
+        return out
 
-    def log_marginal(y: np.ndarray) -> np.ndarray:
+    def gl_marginal(y: np.ndarray) -> np.ndarray:
         out = np.empty(len(y))
         # scratch for the exponents (and the Bessel arguments), made per call
         # so that sweep threads never share one
@@ -210,6 +279,39 @@ def _magnitude_quadrature(
                 np.log(z, out=z)
                 e += z
             out[i : i + rows] = _logsumexp_rows(e)
+        return out
+
+    if mu != 0:
+        return _MagnitudeQuadrature(log_conditional, gl_marginal)
+
+    # per interferer node: c, and q / a^2 at both ends of v's range and
+    # delta / a^2, each written without cancellation
+    c = 1.0 + b
+    g_lo, g_hi = eps2 * x_lo * x_lo, eps2 * x_hi * x_hi
+    v_lo, v_hi = c + g_lo, c + g_hi
+    q_lo_unit, q_hi_unit = g_lo / (c * v_lo), g_hi / (c * v_hi)
+    delta_unit = (g_hi - g_lo) / (v_lo * v_hi)
+    log_scale = log_wb - np.log(2.0 * math.pi * math.log(x_hi / x_lo) * c)
+
+    def log_marginal(y: np.ndarray) -> np.ndarray:
+        out = np.empty(len(y))
+        for i in range(0, len(y), b_rows):
+            y_rows = y[i : i + b_rows]
+            rows_out = out[i : i + len(y_rows)]
+            a2 = (np.abs(y_rows) ** 2)[:, None]
+            q_lo, delta = a2 * q_lo_unit, a2 * delta_unit
+            closed = ((q_lo >= _EI_SERIES_MIN) & (delta >= _EI_MIN_DELTA)).all(axis=1)
+            if not closed.all():
+                rows_out[~closed] = gl_marginal(y_rows[~closed])
+                q_lo, delta, a2 = q_lo[closed], delta[closed], a2[closed]
+            q_hi = a2 * q_hi_unit
+            log_s_hi = _log_scaled_ei(q_hi)
+            # log(e^-p G(q)) at v_hi less the same at v_lo: positive, and at
+            # least about 1e-3
+            log_ratio = delta - np.log1p(delta / q_lo) + log_s_hi - _log_scaled_ei(q_lo)
+            terms = log_scale - a2 / v_hi - np.log(q_hi) + log_s_hi
+            terms += np.log(-np.expm1(-log_ratio))
+            rows_out[closed] = terms[:, 0] if len(b) == 1 else _logsumexp_rows(terms)
         return out
 
     return _MagnitudeQuadrature(log_conditional, log_marginal)
@@ -245,15 +347,18 @@ def estimate_pair_mi(
     samples (x_i, y_i) are drawn through that law, and the standard error
     comes from the outer-sample variance alone.
 
-    On an interferer-free level log f(y|x) is exact and log f(y) is a
-    deterministic Gauss-Legendre quadrature over log|x| with the phase
-    averaged in closed form.  With one hearable interferer whose entry has
-    zero mean and no correlation with the witness entry, log f(y|x) is a
-    Gauss-Legendre rule over the interferer's log-magnitude and log f(y) a
-    tensor rule over both log-magnitudes.  Neither path makes inner draws,
-    so ``m_inner`` is not used.  On any other level log f(y|x) averages the
-    output law over ``m_inner`` fresh draws of the interferer inputs, and
-    log f(y) over ``m_inner`` fresh draws of all the level's inputs.
+    On an interferer-free level log f(y|x) is exact, and log f(y) averages
+    log|x| out deterministically with the phase averaged in closed form.
+    With one hearable interferer whose entry has zero mean and no
+    correlation with the witness entry, log f(y|x) is a Gauss-Legendre rule
+    over the interferer's log-magnitude, and log f(y) the same rule around
+    the average over log|x|.  That average is exact (an exponential-integral
+    form) when the witness entry has zero mean, and a Gauss-Legendre rule
+    when it has a mean or the output falls where the exact form loses
+    precision.  Neither path makes inner draws, so ``m_inner`` is not used.
+    On any other level log f(y|x) averages the output law over ``m_inner``
+    fresh draws of the interferer inputs, and log f(y) over ``m_inner``
+    fresh draws of all the level's inputs.
 
     ``magnitude_sampler(rng, shape)``, when given, replaces the level-nu
     magnitude law in the channel input and the marginal, and puts the level
@@ -310,8 +415,13 @@ def estimate_pair_mi(
         comp = -np.log(math.pi * var) - np.abs(y[:, None] - mean) ** 2 / var
         return _logsumexp_rows(comp) - math.log(x.shape[-1])
 
+    # a quadrature level draws its outer samples in 256-row chunks, which
+    # fixes its random stream, and evaluates its deterministic densities once
+    # over all of them: row by row the same values, in far fewer numpy calls
     chunk = max(1, _BLOCK_ELEMENTS // m_inner) if quadrature is None else 256
     vals = np.empty(n_outer)
+    xs = np.empty(n_outer, dtype=complex)
+    ys = np.empty(n_outer, dtype=complex)
     done = 0
     while done < n_outer:
         n = min(chunk, n_outer - done)
@@ -323,11 +433,12 @@ def estimate_pair_mi(
             # with no interferer the conditional is one exact component
             log_cond = mixture_logpdf(y, np.broadcast_to(x[:, None], (n, m_inner if d else 1)))
             log_marg = mixture_logpdf(y, draw_target((n, m_inner)))
+            vals[done : done + n] = log_cond - log_marg
         else:
-            log_cond = quadrature.log_conditional(y, x)
-            log_marg = quadrature.log_marginal(y)
-        vals[done : done + n] = log_cond - log_marg
+            xs[done : done + n], ys[done : done + n] = x, y
         done += n
+    if quadrature is not None:
+        vals = quadrature.log_conditional(ys, xs) - quadrature.log_marginal(ys)
 
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_outer))
     return MiEstimate(value=float(np.mean(vals)), stderr=stderr)

@@ -54,6 +54,9 @@ class Topology:
             raise ValueError("n_t and n_r must be integers")
         if self.n_t < 0 or self.n_r < 0:
             raise ValueError("transmitter and receiver counts must be non-negative")
+        # numpy integers are stored as int, so that a topology always serialises
+        object.__setattr__(self, "n_t", int(self.n_t))
+        object.__setattr__(self, "n_r", int(self.n_r))
         pairs = set()
         for r, t in self.zeros:
             if not (_is_int(r) and _is_int(t)):

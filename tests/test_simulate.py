@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.special import i0e, logsumexp
+from scipy.special import expi, i0e, logsumexp
 from scipy.stats import kstest
 
 from fadenet import cli, simulate
@@ -501,6 +501,105 @@ class TestInterfererQuadrature:
         few = estimate_pair_mi(model, chain, alloc, 1, 200, 100, seed=3)
         more = estimate_pair_mi(model, chain, alloc, 1, 200, 120, seed=3)
         assert math.isfinite(few.value) and few != more
+
+
+def _gl_average(lo: float, hi: float, width: float, nodes: int):
+    # nodes and weights of composite Gauss-Legendre for the uniform average
+    # over [lo, hi], on equal panels at most ``width`` wide
+    panels = max(1, math.ceil((hi - lo) / width))
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * (hi - lo) / panels
+    centres = lo + half * (2.0 * np.arange(panels) + 1.0)
+    return (centres[:, None] + half * t).ravel(), np.tile(w * half / (hi - lo), panels)
+
+
+def _fine_log_marginal(a2, x_lo, x_hi, sigma2, xi_window):
+    """Zero-mean log f(y) at |y|^2 = a2, unit fading variance: 64 nodes per
+    0.05-wide panel over s = log|x|, beside the estimator's own rule over the
+    interferer's s' (8 nodes per panel at most 0.25 wide in (1/2) log v)."""
+    s, w = _gl_average(math.log(x_lo), math.log(x_hi), 0.05, 64)
+    if xi_window is None:
+        b, w_b = np.zeros(1), np.ones(1)
+    else:
+        xi_lo, xi_hi = xi_window
+        b_max = sigma2 * xi_hi * xi_hi
+        width = 0.25 * (1.0 + x_lo * x_lo + b_max) / b_max
+        s_b, w_b = _gl_average(math.log(xi_lo), math.log(xi_hi), width, 8)
+        b = sigma2 * np.exp(2.0 * s_b)
+    v = (1.0 + np.exp(2.0 * s))[:, None] + b
+    log_w = np.log(w[:, None] * w_b) - np.log(math.pi * v)
+    out = []
+    for a2_row in a2:
+        e = log_w - a2_row / v
+        peak = e.max()
+        out.append(peak + math.log(np.exp(e - peak).sum()))
+    return np.array(out)
+
+
+class TestClosedFormMarginal:
+    """With a zero fading mean, log f(y) averages s = log|x| in closed form."""
+
+    @pytest.mark.parametrize(
+        "snr, nu, sigma2",
+        [(1e8, 2, 1.0), (1e16, 1, 1.0), (1e16, 2, 1.0), (1e16, 1, 1e6)],
+        ids=["narrow_window", "level_1", "level_2", "loud_interferer"],
+    )
+    def test_matches_fine_gauss_legendre(self, snr, nu, sigma2):
+        levels = allocation(snr, 2).levels
+        x_lo, x_hi = levels[nu - 1]
+        xi_window = levels[1] if nu == 1 else None
+        rule = simulate._magnitude_quadrature(0j, 1.0, x_lo, x_hi, sigma2, xi_window)
+        # |y|^2 from far below the level's least output variance to far
+        # above its largest
+        v_lo, v_hi = 1.0 + x_lo * x_lo, 1.0 + x_hi * x_hi
+        if xi_window is not None:
+            v_lo += sigma2 * xi_window[0] ** 2
+            v_hi += sigma2 * xi_window[1] ** 2
+        a2 = np.geomspace(1e-12 * v_lo, 30.0 * v_hi, 25)
+        y = np.sqrt(a2) * np.exp(1j * np.linspace(0.0, 6.0, len(a2)))
+        got = rule.log_marginal(y)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(
+            got, _fine_log_marginal(a2, x_lo, x_hi, sigma2, xi_window), rtol=0, atol=1e-11
+        )
+
+    def test_scaled_ei_series(self):
+        # log(q e^-q Ei(q)) against scipy's Ei where e^q is finite (scipy is
+        # good to about 2e-14 relative near q = 41), and against the series'
+        # first terms where they settle it
+        q = np.geomspace(simulate._EI_SERIES_MIN, 700.0, 200)
+        expected = np.log(q * np.exp(-q) * expi(q))
+        np.testing.assert_allclose(simulate._log_scaled_ei(q), expected, rtol=0, atol=5e-14)
+        q = np.geomspace(1e6, 1e300, 50)
+        np.testing.assert_allclose(
+            simulate._log_scaled_ei(q), np.log1p((1.0 + (2.0 + 6.0 / q) / q) / q), rtol=1e-15, atol=0
+        )
+        assert simulate._log_scaled_ei(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("snr", [1e8, 1e16])
+    def test_marginal_blocks_fit_the_interferer_rule(self, snr, monkeypatch):
+        # the marginal's log-sum-exp runs over the interferer nodes alone
+        # (none with no interferer); only fallback rows take the tensor rule.
+        # At unit variances level 1's interferer axis is a single panel.  The
+        # densities are evaluated over all outer rows at once, in blocks of
+        # at most the element budget
+        topo = _z_channel()
+        model = FadingModel.iid_rayleigh(topo)
+        _, chain = longest_chain(topo)
+        kernel = simulate._logsumexp_rows
+        n_outer = 20_000
+        for nu, nodes in ((1, simulate._GL_NODES_PER_PANEL), (2, 1)):
+            shapes = []
+
+            def recording(block):
+                shapes.append(block.shape)
+                return kernel(block)
+
+            monkeypatch.setattr(simulate, "_logsumexp_rows", recording)
+            estimate_pair_mi(model, chain, allocation(snr, 2), nu, n_outer, 100, seed=3)
+            fallback_rows = sum(rows for rows, columns in shapes if columns > nodes)
+            assert fallback_rows <= n_outer // 50, (nu, shapes)
+            assert max(math.prod(shape) for shape in shapes) <= simulate._BLOCK_ELEMENTS
 
 
 class TestSnrSweep:

@@ -1,6 +1,6 @@
 """scipy stays off the start-up path: importing the CLI, and every zero-mean
-``kappa``, ``bounds`` and quadrature ``sweep`` run, CSV or JSON, and a
-zero-mean nested-path estimate load no scipy module.
+``kappa``, ``bounds`` and quadrature ``sweep`` run (with no interferer or
+one), CSV or JSON, and a zero-mean nested-path estimate load no scipy module.
 Each check runs in a fresh interpreter, since pytest's own process has
 already imported scipy."""
 
@@ -39,7 +39,11 @@ def run_fresh(body: str, *args: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_zero_mean_runs_load_no_scipy():
+def test_zero_mean_runs_load_no_scipy(tmp_path):
+    # the Z-channel's level 1 hears one zero-mean interferer, so its sweep
+    # takes the closed-form marginal beside the interferer rule
+    z_channel = tmp_path / "z_channel.json"
+    z_channel.write_text('{"n_t": 2, "n_r": 2, "zeros": [[2, 1]]}')
     got = run_fresh(
         """
         from fadenet import cli
@@ -49,6 +53,8 @@ def test_zero_mean_runs_load_no_scipy():
             run(["bounds", "--gen", "diagonal:2", "--grid", "8,16,3", "--format", fmt])
             run(["sweep", "--gen", "diagonal:2", "--grid", "8,16,3", "--format", fmt,
                  "--outer", "100", "--inner", "100", "--seed", "0"])
+        run(["sweep", "--topo", sys.argv[1], "--grid", "8,16,3",
+             "--outer", "100", "--inner", "100", "--seed", "0"])
         # a constant magnitude_sampler puts the level on the nested path
         import numpy as np
         from fadenet.bounds import allocation
@@ -64,7 +70,8 @@ def test_zero_mean_runs_load_no_scipy():
         )
         assert np.isfinite(estimate.value)
         print(json.dumps({"import": after_import, "runs": scipy_modules()}))
-        """
+        """,
+        str(z_channel),
     )
     assert got == {"import": [], "runs": []}
 

@@ -189,6 +189,13 @@ def test_malformed_documents_rejected(mutate):
         topology_from_dict(doc)
 
 
+def test_numpy_sizes_are_stored_as_int():
+    topo = Topology(n_t=np.int64(2), n_r=np.int32(2), zeros=frozenset({(np.int64(2), 1)}))
+    assert type(topo.n_t) is int and type(topo.n_r) is int
+    assert topo == Z_CHANNEL and hash(topo) == hash(Z_CHANNEL)
+    assert topology_from_dict(json.loads(json.dumps(topology_to_dict(topo)))) == Z_CHANNEL
+
+
 def test_file_round_trip(tmp_path):
     topo = generate("random", 4, 5, 0.4, seed=7)
     path = tmp_path / "topo.json"
