@@ -121,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="threads sharing the (grid point, level) estimates; the output "
-        "bytes do not depend on it",
+        help="threads sharing the (grid point, level) estimates; a second "
+        "one pays on nested-path levels and ties on quadrature sweeps; the "
+        "output bytes do not depend on it",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

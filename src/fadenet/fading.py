@@ -182,12 +182,6 @@ class FadingModel:
         return value
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)

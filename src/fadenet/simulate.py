@@ -29,7 +29,9 @@ each feasible point.
 
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
-so the worker count never changes the output bytes.
+so the worker count never changes the output bytes.  The sweep's workers are
+threads: a second one pays on nested-path levels, whose mixtures are long
+numpy calls, and ties on quadrature sweeps.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, PowerAllocation, _chain_level, evaluate, plan
-from .fading import FadingModel, _as_generator, _standard_complex
+from .bounds import PowerAllocation, _chain_level, evaluate, plan
+from .fading import FadingModel, _standard_complex
 from .powerchain import PowerChain, validate_chain
+from .topology import _is_int
 
 __all__ = [
     "MiEstimate",
@@ -385,7 +389,7 @@ def estimate_pair_mi(
     windows = [alloc.levels[eta - 1] for eta in level.interferers]
 
     x_lo, x_hi = alloc.levels[nu - 1]
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     # y is Gaussian given the input magnitudes when no interferer is heard, or
     # one zero-mean interferer independent of the witness entry; with none,
     # the interferer variance is an empty trace and no window is passed
@@ -493,8 +497,9 @@ def snr_sweep(
 
     Each grid point and chain level gets its own child seed derived from the
     root by position, and records are assembled in grid order, so the result
-    is byte-identical for any ``workers`` count.  The workers share one
-    queue of (point, level) estimates, first levels first.  Each point is
+    is byte-identical for any ``workers`` count.  The worker threads share
+    one queue of (point, level) estimates in grid order; a second worker pays
+    on nested-path levels and ties on quadrature sweeps.  Each point is
     :func:`fadenet.bounds.evaluate`'s report, plus the per-level estimates
     when it is feasible; points below the allocation threshold come back
     infeasible, with the report's note, instead of failing the sweep.
@@ -502,22 +507,17 @@ def snr_sweep(
     if not model.topo.is_pruned:
         raise ValueError("sweep requires a pruned topology")
     grid = _check_grid(e_grid)
+    if not _is_int(seed) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if not _is_int(workers) or workers < 1:
+        raise ValueError("workers must be an integer of at least 1")
     root_seed = int(seed)
-    if root_seed < 0:
-        raise ValueError("seed must be non-negative")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     _check_samples(n_outer, m_inner)
 
     bounds_plan = plan(model)
     reports = [evaluate(bounds_plan, e) for e in grid]
-    # one task per (point, level), every first level before any second: the
-    # costliest estimates start first and the short later levels fill in at
-    # the end, so no worker is left alone with a long last task
-    tasks = sorted(
-        ((i, nu) for i, r in enumerate(reports) if r.feasible for nu in range(1, r.kappa + 1)),
-        key=lambda task: (task[1], task[0]),
-    )
+    # one task per (point, level), in grid order
+    tasks = [(i, nu) for i, r in enumerate(reports) if r.feasible for nu in range(1, r.kappa + 1)]
 
     def estimate(task: tuple[int, int]) -> MiEstimate:
         i, nu = task
@@ -532,24 +532,19 @@ def snr_sweep(
         )
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        estimates = dict(zip(tasks, pool.map(estimate, tasks)))
+        # the estimates come back in task order, so each feasible point takes
+        # its kappa levels off the front
+        estimates = pool.map(estimate, tasks)
+        levels = [list(islice(estimates, r.kappa)) if r.feasible else None for r in reports]
 
-    def record(i: int, report: BoundReport) -> SweepRecord:
-        total = stderr = None
-        if report.feasible:
-            total = var = 0.0
-            for nu in range(1, report.kappa + 1):
-                est = estimates[i, nu]
-                total += est.value
-                var += est.stderr**2
-            stderr = math.sqrt(var)
-        return SweepRecord(
+    return [
+        SweepRecord(
             snr=report.snr,
             kappa_star=report.kappa,
             loglog_term=report.loglog_term,
             analytic_lower=report.lower_bound,
-            mc_estimate=total,
-            mc_stderr=stderr,
+            mc_estimate=None if ests is None else sum(est.value for est in ests),
+            mc_stderr=None if ests is None else math.sqrt(sum(est.stderr**2 for est in ests)),
             analytic_upper=report.upper_bound,
             n_outer=n_outer,
             m_inner=m_inner,
@@ -557,8 +552,8 @@ def snr_sweep(
             feasible=report.feasible,
             note=report.note,
         )
-
-    return [record(i, report) for i, report in enumerate(reports)]
+        for report, ests in zip(reports, levels)
+    ]
 
 
 def fit_loglog_slope(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from fadenet.bounds import PowerAllocation
-from fadenet.fading import _as_generator, _standard_complex
+from fadenet.fading import _standard_complex
 
 
 def log_h_squared_mean_mc(
@@ -17,7 +17,7 @@ def log_h_squared_mean_mc(
     :func:`fadenet.fading.log_h_squared_mean`."""
     if variance <= 0:
         raise ValueError("variance must be positive")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     h = complex(mean) + math.sqrt(variance) * _standard_complex(rng, n_samples)
     values = np.log(np.abs(h) ** 2)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))

@@ -625,20 +625,45 @@ class TestSnrSweep:
         pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
         assert repr(serial) == repr(pooled)
 
-    def test_first_levels_are_queued_before_later_ones(self, pair_network, monkeypatch):
-        # the costliest estimates start first, and infeasible points queue none
+    def test_worker_count_never_changes_bytes_on_a_nested_level(self):
+        # the mean on level 1's interferer entry puts that level on the nested
+        # path, the one where a second worker pays
+        model = FadingModel.from_mapping(_z_channel(), means={(1, 2): 0.5})
+        grid = [1e8, 1e12, 1e16]
+        serial = snr_sweep(model, grid, 400, 120, seed=77, workers=1)
+        pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
+        assert repr(serial) == repr(pooled)
+
+    def test_estimates_are_requested_in_grid_order(self, pair_network, monkeypatch):
+        # point by point, level by level; the infeasible point requests none
         calls = []
         real = simulate.estimate_pair_mi
 
         def recording(model, chain, alloc, nu, *args, **kwargs):
-            calls.append((nu, alloc.levels[0]))
+            calls.append((alloc.levels[0], nu))
             return real(model, chain, alloc, nu, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "estimate_pair_mi", recording)
         records = snr_sweep(pair_network, [1e5, 1e8, 1e10], 200, 100, seed=5)
         assert [r.feasible for r in records] == [False, True, True]
         windows = [allocation(e, 2).levels[0] for e in (1e8, 1e10)]
-        assert calls == [(1, windows[0]), (1, windows[1]), (2, windows[0]), (2, windows[1])]
+        assert calls == [(windows[0], 1), (windows[0], 2), (windows[1], 1), (windows[1], 2)]
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", "1"), ("seed", True),
+        ("workers", 2.5), ("workers", "2"), ("workers", True),
+    ])
+    def test_seed_and_workers_must_be_integers(self, pair_network, name, value):
+        kwargs = {"seed": 1, "workers": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            snr_sweep(pair_network, [1e8], 400, 120, **kwargs)
+
+    def test_numpy_integer_seed_and_workers_are_accepted(self, pair_network):
+        # stored as int, so the records read as those of the same Python ints
+        grid = [1e5, 1e8]
+        plain = snr_sweep(pair_network, grid, 200, 100, seed=5, workers=2)
+        numpy = snr_sweep(pair_network, grid, 200, 100, seed=np.int64(5), workers=np.int32(2))
+        assert repr(numpy) == repr(plain)
 
     def test_infeasible_point_is_isolated(self, pair_network):
         model = pair_network
