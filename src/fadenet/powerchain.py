@@ -3,9 +3,10 @@ receiver that none of its predecessors reach.
 
 The length of the longest such chain is the pre-log factor of the double-log
 capacity growth of a non-coherent fading network, so everything downstream
-(allocations, bounds, sweeps) starts here.  Chains are found exactly by a
-dynamic program over covered-receiver subsets; a brute-force enumerator is
-kept alongside as an independent oracle for small networks.
+(allocations, bounds, sweeps) starts here.  Chains are found exactly by
+raising a target length over memoised bounds on what each covered-receiver
+set can still reach; a brute-force enumerator is kept alongside as an
+independent oracle for small networks.
 """
 
 from __future__ import annotations
@@ -87,19 +88,24 @@ def _fresh_receivers(topo: Topology, transmitters: Sequence[int]) -> list[int]:
 
 
 def longest_chain(topo: Topology, *, max_receivers: int = 24) -> tuple[int, PowerChain]:
-    """Exact longest power chain via dynamic programming over receiver subsets.
+    """Exact longest power chain by a decision search over receiver subsets.
 
     Whether a tuple can be extended depends only on the union of hearer sets
-    covered so far, so memoising on that subset explores each reachable
-    coverage state once.  Each state also has a ceiling, the smaller of its
+    covered so far, so the search memoises on that subset.  For each state it
+    keeps a proven interval [lo, hi] of how many more members a chain from
+    there can have.  ``hi`` starts at the state's ceiling, the smaller of its
     live transmitters (those that still reach an uncovered receiver) and the
     uncovered receivers they reach: every later chain member is a distinct
-    live transmitter that brings at least one of those receivers.  A state
-    stops scanning once its value meets the ceiling, so the memo still holds
-    exact values, and on chain-rich topologies the first greedy descent ends
-    the search after about n states instead of 2**n.  Reconstruction prefers
-    the smallest transmitter index at every step and picks the smallest newly
-    reached receiver as the witness.
+    live transmitter that brings at least one of those receivers.  Asking
+    whether a state reaches ``need`` more members is answered from the
+    interval when it can be; otherwise its children are tried in transmitter
+    order, and a success raises ``lo`` to ``need`` while a failure lowers
+    ``hi`` to ``need - 1``.  kappa* is found by raising the target at the
+    empty set one member at a time, and on chain-rich topologies the search
+    touches a few states per receiver instead of 2**n.  Reconstruction
+    prefers the smallest transmitter index whose child still reaches the
+    remaining length, and picks the smallest newly reached receiver as the
+    witness.
 
     Args:
         topo: the network; unheard transmitters simply never join a chain.
@@ -116,33 +122,41 @@ def longest_chain(topo: Topology, *, max_receivers: int = 24) -> tuple[int, Powe
             f"{topo.n_r} receivers exceeds the exact-search guard of {max_receivers}"
         )
     masks = topo.hearer_masks
-    memo: dict[int, int] = {}
+    heard = 0
+    for mask in masks:
+        heard |= mask
+    # covered -> [lo, hi]: a chain of lo more members is proven to start
+    # there, and none longer than hi can
+    memo: dict[int, list[int]] = {}
 
-    def best(covered: int) -> int:
-        cached = memo.get(covered)
-        if cached is not None:
-            return cached
-        live = [mask for mask in masks if mask & ~covered]
-        reach = 0
-        for mask in live:
-            reach |= mask
-        ceiling = min(len(live), (reach & ~covered).bit_count())
-        value = 0
-        for mask in live:
-            value = max(value, 1 + best(covered | mask))
-            if value == ceiling:
-                break
-        memo[covered] = value
-        return value
+    def reaches(covered: int, need: int) -> bool:
+        if need <= 0:
+            return True
+        proven = memo.get(covered)
+        if proven is None:
+            live = sum(1 for mask in masks if mask & ~covered)
+            proven = memo[covered] = [0, min(live, (heard & ~covered).bit_count())]
+        if need <= proven[0]:
+            return True
+        if need > proven[1]:
+            return False
+        for mask in masks:
+            if mask & ~covered and reaches(covered | mask, need - 1):
+                proven[0] = need
+                return True
+        proven[1] = need - 1
+        return False
 
-    kappa_star = best(0)
+    kappa_star = 0
+    while reaches(0, kappa_star + 1):
+        kappa_star += 1
     transmitters: list[int] = []
     witnesses: list[int] = []
     covered = 0
-    while best(covered) > 0:
+    for left in range(kappa_star, 0, -1):
         for t, mask in enumerate(masks, start=1):
             fresh = mask & ~covered
-            if fresh and 1 + best(covered | mask) == best(covered):
+            if fresh and reaches(covered | mask, left - 1):
                 transmitters.append(t)
                 witnesses.append((fresh & -fresh).bit_length())
                 covered |= mask

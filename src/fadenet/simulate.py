@@ -36,6 +36,7 @@ numpy calls, and ties on quadrature sweeps.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -115,12 +116,21 @@ class MiEstimate(NamedTuple):
     stderr: float
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], made once per
+    node count."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gl_rule(lo: float, hi: float, max_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and log-weights of composite Gauss-Legendre for the uniform
     average over [lo, hi], on equal panels at most ``max_width`` wide."""
     width = hi - lo
     panels = max(1, math.ceil(width / max_width))
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
+    nodes, weights = _legendre(_GL_NODES_PER_PANEL)
     half = 0.5 * width / panels
     centres = lo + half * (2.0 * np.arange(panels) + 1.0)
     s = (centres[:, None] + half * nodes).ravel()

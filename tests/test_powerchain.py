@@ -119,9 +119,9 @@ def _reference_longest_chain(topo: Topology) -> tuple[int, PowerChain]:
 
 
 @st.composite
-def _topologies_up_to_10x10(draw):
-    n_t = draw(st.integers(1, 10))
-    n_r = draw(st.integers(1, 10))
+def _topologies(draw, max_transmitters=10, receivers=(1, 10)):
+    n_t = draw(st.integers(1, max_transmitters))
+    n_r = draw(st.integers(*receivers))
     # a cell is heard when its digit falls below the drawn density
     density = draw(st.integers(1, 9))
     digits = draw(st.lists(st.integers(0, 9), min_size=n_t * n_r, max_size=n_t * n_r))
@@ -134,13 +134,47 @@ def _topologies_up_to_10x10(draw):
     return Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros))
 
 
-@given(_topologies_up_to_10x10())
+@given(_topologies())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_longest_chain_equals_the_unbounded_dp(topo):
     result = longest_chain(topo)
     assert result == _reference_longest_chain(topo)
     if topo.n_t <= 7:
         assert result[0] == brute_force_kappa(topo)
+
+
+@given(_topologies(max_transmitters=14, receivers=(11, 14)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_longest_chain_equals_the_unbounded_dp_on_11_to_14_receivers(topo):
+    assert longest_chain(topo) == _reference_longest_chain(topo)
+
+
+@pytest.mark.parametrize(
+    "spec,seed,transmitters,witnesses",
+    [
+        (
+            "random:22,22,0.8",
+            5,
+            (3, 5, 8, 10, 13, 15, 1, 4, 17, 14, 2, 9, 11, 12, 6, 18, 7),
+            (19, 5, 3, 1, 10, 2, 16, 11, 13, 15, 14, 21, 6, 7, 8, 17, 9),
+        ),
+        ("wyner_cyclic:16", None, tuple(range(1, 16)), (1, *range(3, 17))),
+    ],
+)
+def test_longest_chain_on_the_chain_workload(spec, seed, transmitters, witnesses):
+    # the chains the benchmark's kappa runs print; the search order must not move them
+    kappa, chain = longest_chain(parse_generator_spec(spec, seed=seed))
+    assert kappa == len(transmitters)
+    assert chain == PowerChain(transmitters, witnesses)
+
+
+@pytest.mark.parametrize("n", [24, 40, 64])
+def test_longest_chain_on_large_rings(n):
+    topo = generate("wyner_cyclic", n)
+    kappa, chain = longest_chain(topo, max_receivers=n)
+    assert kappa == n - 1
+    assert chain == PowerChain(tuple(range(1, n)), (1, *range(3, n + 1)))
+    validate_chain(topo, chain)
 
 
 @pytest.mark.parametrize(

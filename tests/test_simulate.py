@@ -513,6 +513,19 @@ def _gl_average(lo: float, hi: float, width: float, nodes: int):
     return (centres[:, None] + half * t).ravel(), np.tile(w * half / (hi - lo), panels)
 
 
+@pytest.mark.parametrize("nodes", [None, 3, 64])
+def test_gl_rule_follows_the_node_count(nodes, monkeypatch):
+    # the node table is cached, yet a patched node count still takes effect
+    if nodes is not None:
+        monkeypatch.setattr(simulate, "_GL_NODES_PER_PANEL", nodes)
+    for _ in range(2):
+        s, log_w = simulate._gl_rule(-1.0, 2.0, 0.25)
+        s_ref, w_ref = _gl_average(-1.0, 2.0, 0.25, simulate._GL_NODES_PER_PANEL)
+        assert np.array_equal(s, s_ref) and np.array_equal(log_w, np.log(w_ref))
+    with pytest.raises(ValueError):
+        simulate._legendre(simulate._GL_NODES_PER_PANEL)[0][0] = 0.0
+
+
 def _fine_log_marginal(a2, x_lo, x_hi, sigma2, xi_window):
     """Zero-mean log f(y) at |y|^2 = a2, unit fading variance: 64 nodes per
     0.05-wide panel over s = log|x|, beside the estimator's own rule over the
