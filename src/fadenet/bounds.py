@@ -16,6 +16,7 @@ gives both bounds at one grid point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,6 +45,7 @@ __all__ = [
 
 _LOG_PI = math.log(math.pi)
 _LOG_PI_E = math.log(math.pi) + 1.0
+_LOG_2 = math.log(2.0)
 
 
 class AllocationInfeasibleError(ValueError):
@@ -82,6 +84,7 @@ class PowerAllocation:
         return len(self.levels)
 
 
+@functools.lru_cache(maxsize=None)
 def min_valid_snr(kappa: int) -> float:
     """Smallest budget above which the layered allocation is well ordered.
 
@@ -89,7 +92,8 @@ def min_valid_snr(kappa: int) -> float:
     k = kappa*(kappa+1) it reads exp(u/k) > u.  For kappa = 1 that holds for
     every E > 1, so e is reported as a safe floor; otherwise the threshold is
     the upper root of exp(u/k) = u, found by Newton's method on
-    u - k log u = 0.
+    u - k log u = 0.  A pure function of kappa, so it is memoised:
+    :func:`allocation` asks for it at every grid point.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -411,9 +415,19 @@ class _Phase:
         if snr == 0:
             log_energy = self.log_nr
         else:
-            log_energy = float(np.logaddexp(self.log_frob2 + math.log(snr), self.log_nr))
+            log_energy = _logaddexp(self.log_frob2 + math.log(snr), self.log_nr)
         delta = 1.0 + log_energy - self.digamma_nr
         return self.head + alpha_penalty(1.0 / delta)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) for finite floats, by numpy's ``logaddexp``
+    formula and to its last bit, without a ufunc call."""
+    if x == y:
+        return x + _LOG_2
+    if x > y:
+        return x + math.log1p(math.exp(y - x))
+    return y + math.log1p(math.exp(x - y))
 
 
 def _digamma_int(n: int) -> float:
@@ -450,7 +464,7 @@ def _duality_phase(model: FadingModel, rx: list[int], tx: list[int], t_star: int
     # above it the difference is n_r logaddexp(log_a, log n_r - log_rho) -
     # h_cond, which falls.  So the supremum is attained at rho0.
     rho0 = _LOG_PI_E - h_cond / n_r
-    sup_term = n_r * float(np.logaddexp(log_a + rho0, log_nr)) - n_r * _LOG_PI_E
+    sup_term = n_r * _logaddexp(log_a + rho0, log_nr) - n_r * _LOG_PI_E
     return _Phase(
         head=n_r * _LOG_PI - math.lgamma(n_r) + sup_term + 1.0,
         log_frob2=math.log(frob2),

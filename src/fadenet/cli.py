@@ -5,6 +5,7 @@ Four subcommands: ``kappa`` (longest-chain computation), ``decompose``
 (analytic bound evaluation over an SNR grid), and ``sweep`` (bounds plus the
 Monte Carlo estimate).  Both grid tables, CSV or JSON, are written by the one
 writer ``_write_grid``; this module is the only one that knows their format.
+Every JSON document the commands print is written by ``_json_text``.
 
 Every stochastic run demands an explicit --seed and is then bit-reproducible,
 including under --workers parallelism.  Exit codes: 0 success, 2 bad input,
@@ -18,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -138,28 +140,25 @@ def _load_topo(args: argparse.Namespace) -> Topology:
     return parse_generator_spec(args.gen, seed=args.seed)
 
 
-def _load_model(args: argparse.Namespace, topo: Topology) -> FadingModel:
-    if args.model is None:
-        return FadingModel.iid_rayleigh(topo)
-    return load_fading_model(args.model, topo)
-
-
 def _load_pruned_network(args: argparse.Namespace) -> FadingModel:
     """The model of a grid command, on its topology with silent transmitters
     and deaf receivers removed.
 
-    The model is read against the file's own labels.  Pruning drops no
-    fading entry and relabels the survivors in ascending order, so entry i
-    of the file's ``nonzero_pairs()`` is entry i of the pruned one and the
-    model's arrays carry over as they are
+    Without --model the IID CN(0, 1) model is built once, on the pruned
+    topology.  A --model file is read against the file's own labels.
+    Pruning drops no fading entry and relabels the survivors in ascending
+    order, so entry i of the file's ``nonzero_pairs()`` is entry i of the
+    pruned one and the model's arrays carry over as they are
     (``tests/test_topology.py::test_prune_keeps_fading_entries_in_order``).
     Output labels are the pruned ones.
     """
     topo = _load_topo(args)
-    model = _load_model(args, topo)
+    model = None if args.model is None else load_fading_model(args.model, topo)
     pruned = prune(topo)
     if pruned.is_empty:
         raise ValueError("topology prunes to nothing: no receiver hears any transmitter")
+    if model is None:
+        return FadingModel.iid_rayleigh(pruned)
     return FadingModel(pruned, model.means, model.covariance, model.ar1_rho)
 
 
@@ -200,16 +199,89 @@ def _to_csv(rows: Iterable[Sequence]) -> str:
     return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without the standard
+    library's pure-Python encoder, which ``indent`` selects.
+
+    Scalars are dispatched as ``json`` does: bool before int, float
+    subclasses (numpy's float64 too) through ``float.__repr__`` with NaN and
+    +-Infinity, tuples as lists, and any other type raises TypeError.
+    ``newline`` is the line break plus the indent of the enclosing level.
+    """
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    inner = newline + "  "
+    scalar = _JSON_SCALARS.get
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            leaf(item) if (leaf := scalar(type(item))) else _json_text(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _json_key(key)
+            + ": "
+            + (leaf(item) if (leaf := scalar(type(item))) else _json_text(item, inner))
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # subclasses of the scalar types, in json's order
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# the encoder of each scalar type, by exact type; bool is not an int here
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or the quoted text of a
+    float, int, bool or None."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_json_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _emit_json(doc, out: str | None) -> None:
+    _emit(_json_text(doc) + "\n", out)
+
+
 def _write_grid(
     args: argparse.Namespace, header: Sequence[str], cells: Iterable[Sequence], docs: Iterable
 ) -> None:
     """Emit ``cells`` as CSV under ``header``, or ``docs`` as an indented JSON
     list, as --format asks; only the one consumed is built from its iterator."""
     if args.format == "json":
-        text = json.dumps(list(docs), indent=2) + "\n"
+        _emit_json(list(docs), args.out)
     else:
-        text = _to_csv([header, *cells])
-    _emit(text, args.out)
+        _emit(_to_csv([header, *cells]), args.out)
 
 
 def _bounds_doc(report: BoundReport) -> dict:
@@ -242,7 +314,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
         "chain_transmitters": list(chain.transmitters),
         "chain_witnesses": list(chain.witnesses),
     }
-    print(json.dumps(doc, indent=2))
+    _emit_json(doc, None)
     return _EXIT_OK
 
 
@@ -262,7 +334,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "receiver_blocks": [sorted(b) for b in dec.receiver_blocks],
         "transmitter_blocks": [sorted(b) for b in dec.transmitter_blocks],
     }
-    print(json.dumps(doc, indent=2))
+    _emit_json(doc, None)
     return _EXIT_OK
 
 

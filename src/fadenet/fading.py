@@ -46,6 +46,17 @@ _RHO_DIVERGENCE_GUARD = 1.0 - 1e-6
 class FadingModel:
     """Gaussian law of the random fading entries of a topology.
 
+    Construction indexes the covariance's independent blocks: the connected
+    components of its nonzero off-diagonal pattern, each a tuple of entry
+    indices in ascending order, blocks ordered by their first index.  Entries
+    of different blocks are independent, so validation and the conditional
+    and mutual-information algebra work block by block.  Validation checks
+    the Hermitian rule of ``np.allclose(cov, cov^H, atol=1e-10)`` on the
+    cells where either side is nonzero (every other cell passes it
+    trivially), a positive real diagonal on each singleton block and a
+    Cholesky factorisation of each larger block, which together hold
+    exactly when the whole matrix is positive definite.
+
     Args:
         topo: the zero pattern; entries exist only off the zero set.
         means: complex mean per entry, in sorted (r, t) order.
@@ -71,16 +82,35 @@ class FadingModel:
             raise ValueError(f"covariance must be {m}x{m} over the fading entries")
         if not (np.isfinite(means).all() and np.isfinite(cov).all()):
             raise ValueError("means and covariance must be finite")
-        if not np.allclose(cov, cov.conj().T, atol=_HERMITIAN_TOL):
+        rows, cols = np.nonzero(cov)
+        # np.allclose(cov, cov^H) compares each cell with its mirror's
+        # conjugate, scaling the tolerance by the mirror; a cell whose mirror
+        # is zero is listed here alone, so both scalings are checked
+        here, mirror = cov[rows, cols], cov[cols, rows].conj()
+        if not (
+            np.allclose(here, mirror, atol=_HERMITIAN_TOL)
+            and np.allclose(mirror, here, atol=_HERMITIAN_TOL)
+        ):
             raise ValueError("covariance is not Hermitian")
         means.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariance", cov)
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance is not positive definite") from exc
+        blocks = _independent_blocks(m, rows.tolist(), cols.tolist())
+        block_of = [0] * m
+        for k, block in enumerate(blocks):
+            for i in block:
+                block_of[i] = k
+        object.__setattr__(self, "_block_of", tuple(block_of))
+        singletons = [block[0] for block in blocks if len(block) == 1]
+        if not (cov.real[singletons, singletons] > 0).all():
+            raise ValueError("covariance is not positive definite")
+        for block in blocks:
+            if len(block) > 1:
+                try:
+                    np.linalg.cholesky(cov[np.ix_(block, block)])
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError("covariance is not positive definite") from exc
         if self.ar1_rho is not None:
             rho = float(self.ar1_rho)
             if not 0.0 <= rho < 1.0:
@@ -160,13 +190,18 @@ class FadingModel:
         """Covariance of the target entries conditioned on the given entries.
 
         Jointly Gaussian, so this is the Schur complement and does not depend
-        on the conditioning values.
+        on the conditioning values.  Only the given entries in the targets'
+        covariance blocks enter it; the others are independent of the targets.
         """
         t_idx = [self.entry_index(r, t) for r, t in targets]
         g_idx = [self.entry_index(r, t) for r, t in given]
         if set(t_idx) & set(g_idx):
             raise ValueError("target and conditioning entries overlap")
         s_tt = self.covariance[np.ix_(t_idx, t_idx)]
+        # given entries outside the targets' blocks are independent of them
+        block_of = self._block_of  # type: ignore[attr-defined]
+        target_blocks = {block_of[i] for i in t_idx}
+        g_idx = [i for i in g_idx if block_of[i] in target_blocks]
         if not g_idx:
             return s_tt
         s_tg = self.covariance[np.ix_(t_idx, g_idx)]
@@ -213,10 +248,12 @@ def block_mutual_information(
 ) -> float:
     """Mutual information (nats) between two disjoint groups of fading entries.
 
-    Gaussian blocks, so the value is log det of the two marginal covariances
-    minus log det of the joint one.  Perfectly correlated blocks make the
-    joint covariance singular; that is reported as ``inf`` rather than an
-    arbitrary large number.
+    Gaussian groups, so the value is log det of the two marginal covariances
+    minus log det of the joint one.  Independent covariance blocks add their
+    informations: the sum runs over the blocks both groups touch, and is 0.0
+    without any linear algebra when they share none.  Perfectly correlated
+    groups make a joint covariance singular; that is reported as ``inf``
+    rather than an arbitrary large number.
     """
     a = [(r, t) for r, t in entries_a]
     b = [(r, t) for r, t in entries_b]
@@ -226,16 +263,50 @@ def block_mutual_information(
         raise ValueError("entry groups must be disjoint and free of duplicates")
     if not a or not b:
         return 0.0
-    # Hermitian covariances have real determinants; slogdet's sign comes back
-    # complex for complex input, so compare its real part.
-    sign_a, logdet_a = np.linalg.slogdet(model.submatrix(a))
-    sign_b, logdet_b = np.linalg.slogdet(model.submatrix(b))
-    sign_ab, logdet_ab = np.linalg.slogdet(model.submatrix(a + b))
-    if np.real(sign_a) <= 0 or np.real(sign_b) <= 0:
-        raise ValueError("marginal covariance is numerically singular")
-    if np.real(sign_ab) <= 0 or not np.isfinite(logdet_ab):
-        return math.inf
-    return max(0.0, float(logdet_a + logdet_b - logdet_ab))
+    a_idx = [model.entry_index(r, t) for r, t in a]
+    b_idx = [model.entry_index(r, t) for r, t in b]
+    block_of = model._block_of  # type: ignore[attr-defined]
+    shared = {block_of[i] for i in a_idx} & {block_of[i] for i in b_idx}
+    cov = model.covariance
+    total = 0.0
+    for block in sorted(shared):
+        a_k = [i for i in a_idx if block_of[i] == block]
+        b_k = [i for i in b_idx if block_of[i] == block]
+        # Hermitian covariances have real determinants; slogdet's sign comes
+        # back complex for complex input, so compare its real part.
+        sign_a, logdet_a = np.linalg.slogdet(cov[np.ix_(a_k, a_k)])
+        sign_b, logdet_b = np.linalg.slogdet(cov[np.ix_(b_k, b_k)])
+        sign_ab, logdet_ab = np.linalg.slogdet(cov[np.ix_(a_k + b_k, a_k + b_k)])
+        if np.real(sign_a) <= 0 or np.real(sign_b) <= 0:
+            raise ValueError("marginal covariance is numerically singular")
+        if np.real(sign_ab) <= 0 or not np.isfinite(logdet_ab):
+            return math.inf
+        total += float(logdet_a + logdet_b - logdet_ab)
+    return max(0.0, total)
+
+
+def _independent_blocks(
+    m: int, rows: list[int], cols: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the pattern of nonzero cells (rows[k],
+    cols[k]) over m indices, by union-find: each a tuple of ascending
+    indices, ordered by their first."""
+    root = list(range(m))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in zip(rows, cols):
+        ri, rj = find(i), find(j)
+        if ri != rj:  # the smaller index roots the union, so roots are minima
+            root[max(ri, rj)] = min(ri, rj)
+    blocks: dict[int, list[int]] = {}
+    for i in range(m):
+        blocks.setdefault(find(i), []).append(i)
+    return tuple(map(tuple, blocks.values()))
 
 
 def memory_gap_ar1(model: FadingModel) -> float:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from fadenet.bounds import PowerAllocation
-from fadenet.fading import _standard_complex
+from fadenet.fading import FadingModel, _standard_complex
 
 
 def log_h_squared_mean_mc(
@@ -37,3 +37,31 @@ def log_spread(alloc: PowerAllocation, nu: int) -> float:
     """log(x_max^2 / x_min^2) of level ``nu`` (1-based), overflow-safe."""
     x_min, x_max = alloc.levels[nu - 1]
     return 2.0 * (math.log(x_max) - math.log(x_min))
+
+
+def dense_conditional_covariance(model: FadingModel, targets, given) -> np.ndarray:
+    """Schur complement of the given entries over the whole covariance,
+    blind to its independent blocks; the oracle for
+    :meth:`fadenet.fading.FadingModel.conditional_covariance`."""
+    t_idx = [model.entry_index(r, t) for r, t in targets]
+    g_idx = [model.entry_index(r, t) for r, t in given]
+    cov = model.covariance
+    s_tt = cov[np.ix_(t_idx, t_idx)]
+    if not g_idx:
+        return s_tt
+    s_tg = cov[np.ix_(t_idx, g_idx)]
+    s_gg = cov[np.ix_(g_idx, g_idx)]
+    return s_tt - s_tg @ np.linalg.solve(s_gg, s_tg.conj().T)
+
+
+def dense_mutual_information(model: FadingModel, entries_a, entries_b) -> float:
+    """log det of the two marginal covariances minus log det of the joint
+    one, each over every entry of its group; the oracle for
+    :func:`fadenet.fading.block_mutual_information`."""
+    a, b = list(entries_a), list(entries_b)
+    if not a or not b:
+        return 0.0
+    _, logdet_a = np.linalg.slogdet(model.submatrix(a))
+    _, logdet_b = np.linalg.slogdet(model.submatrix(b))
+    _, logdet_ab = np.linalg.slogdet(model.submatrix(a + b))
+    return float(logdet_a + logdet_b - logdet_ab)

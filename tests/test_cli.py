@@ -5,10 +5,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadenet import powerchain
-from fadenet.cli import main
+from fadenet.cli import _json_text, main
 from fadenet.topology import generate, save_topology
 
 
@@ -455,3 +458,61 @@ def test_longest_chain_runs_once_per_grid_command(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+# strings with non-ASCII, quote, backslash and control characters
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+    )
+)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    _TEXT,
+)
+_KEYS = st.one_of(_TEXT, st.booleans(), st.none(), st.integers(), _FLOATS)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        object(),
+        np.int64(3),
+        1 + 2j,
+        {1, 2},
+        b"bytes",
+        [1.0, {"k": np.bool_(True)}],
+        {(1, 2): 0.5},
+        {"nested": {frozenset(): 1}},
+    ],
+    ids=["object", "np.int64", "complex", "set", "bytes", "np.bool_", "tuple key", "nested key"],
+)
+def test_json_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(value)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from fadenet.fading import (
@@ -15,7 +17,7 @@ from fadenet.fading import (
     save_fading_model,
 )
 from fadenet.topology import generate
-from oracles import log_h_squared_mean_mc
+from oracles import dense_conditional_covariance, dense_mutual_information, log_h_squared_mean_mc
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -58,6 +60,81 @@ def test_construction_rejects_bad_statistics():
         FadingModel.from_mapping(topo, ar1_rho=1.0)
     with pytest.raises(ValueError):
         FadingModel.from_mapping(topo, ar1_rho=-0.1)
+
+
+def test_rejections_inside_independent_blocks():
+    topo = generate("full", 4, 1)
+    not_pd = np.eye(4, dtype=complex)
+    not_pd[np.ix_([1, 3], [1, 3])] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(ValueError, match="^covariance is not positive definite$"):
+        FadingModel.from_mapping(topo, covariance=not_pd)
+    for diagonal in (0.0, -1.0):
+        singleton = np.eye(4, dtype=complex)
+        singleton[2, 2] = diagonal
+        with pytest.raises(ValueError, match="^covariance is not positive definite$"):
+            FadingModel.from_mapping(topo, covariance=singleton)
+    one_sided = np.eye(4, dtype=complex)
+    one_sided[0, 2] = 0.3
+    with pytest.raises(ValueError, match="^covariance is not Hermitian$"):
+        FadingModel.from_mapping(topo, covariance=one_sided)
+
+
+def test_hermitian_tolerance_is_np_allclose():
+    # a one-sided cell within 1e-10, and a mirrored pair within 1e-5
+    # relative, pass; a wider gap fails, as in np.allclose
+    topo = generate("full", 3, 1)
+    cov = 2.0 * np.eye(3, dtype=complex)
+    cov[0, 2] = 0.9e-10
+    FadingModel.from_mapping(topo, covariance=cov.copy())
+    cov[0, 2], cov[2, 0] = 1.0, 1.0 + 0.9e-5
+    assert np.allclose(cov, cov.conj().T, atol=1e-10)
+    FadingModel.from_mapping(topo, covariance=cov.copy())
+    cov[2, 0] = 1.0 + 1.1e-5
+    assert not np.allclose(cov, cov.conj().T, atol=1e-10)
+    with pytest.raises(ValueError, match="Hermitian"):
+        FadingModel.from_mapping(topo, covariance=cov)
+
+
+@st.composite
+def interleaved_block_models(draw):
+    """A model on one receiver row whose covariance is block diagonal with its
+    blocks interleaved in entry order, and the block label of each entry."""
+    m = draw(st.integers(2, 9))
+    labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cov = np.zeros((m, m), dtype=complex)
+    for label in set(labels):
+        idx = [i for i, other in enumerate(labels) if other == label]
+        k = len(idx)
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        cov[np.ix_(idx, idx)] = g @ g.conj().T / k + 0.5 * np.eye(k)
+    return FadingModel.from_mapping(generate("full", m, 1), covariance=cov), labels
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_block_algebra_matches_dense_oracle(data):
+    model, labels = data.draw(interleaved_block_models())
+    entries = list(model.entries)
+    m = len(entries)
+    roles = data.draw(st.lists(st.sampled_from("tgn"), min_size=m, max_size=m))
+    targets = [e for e, role in zip(entries, roles) if role == "t"]
+    given_entries = [e for e, role in zip(entries, roles) if role == "g"]
+    if targets:
+        got = model.conditional_covariance(targets, given_entries)
+        want = dense_conditional_covariance(model, targets, given_entries)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    got = block_mutual_information(model, targets, given_entries)
+    want = max(0.0, dense_mutual_information(model, targets, given_entries))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    # groups drawn from disjoint sets of blocks are independent, exactly
+    side = data.draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    a = [e for e, label in zip(entries, labels) if side[label]]
+    b = [e for e, label in zip(entries, labels) if not side[label]]
+    assert block_mutual_information(model, a, b) == 0.0
+    if a:
+        assert np.array_equal(model.conditional_covariance(a, b), model.submatrix(a))
 
 
 def test_from_mapping_rejects_zero_entries():
