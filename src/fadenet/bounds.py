@@ -32,7 +32,6 @@ __all__ = [
     "BoundReport",
     "min_valid_snr",
     "allocation",
-    "effective_noise_variance",
     "scalar_mi_lower_bound",
     "interference_penalty",
     "scheme_rate_lower_bound",
@@ -60,6 +59,12 @@ class AllocationInfeasibleError(ValueError):
         self.threshold = threshold
 
 
+def _check_budget(snr: float) -> None:
+    """Both bounds are defined only on finite budgets E >= 0."""
+    if not (math.isfinite(snr) and snr >= 0):
+        raise ValueError(f"power budget {snr:g} must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
     """Nested magnitude windows, one per chain level, strongest first.
@@ -73,8 +78,7 @@ class PowerAllocation:
     levels: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.snr_budget < 0:
-            raise ValueError("power budget must be non-negative")
+        _check_budget(self.snr_budget)
         for x_min, x_max in self.levels:
             if not (0 < x_min <= x_max):
                 raise ValueError(f"level window ({x_min:g}, {x_max:g}) is not ordered")
@@ -122,9 +126,11 @@ def allocation(snr: float, kappa: int) -> PowerAllocation:
     magnitude between consecutive levels.
 
     Raises:
+        ValueError: ``snr`` is not finite and non-negative.
         AllocationInfeasibleError: below :func:`min_valid_snr`, where the
             weakest window would be empty.  The error carries the threshold.
     """
+    _check_budget(snr)
     threshold = min_valid_snr(kappa)
     if snr < threshold:
         raise AllocationInfeasibleError(snr, kappa, threshold)
@@ -137,19 +143,6 @@ def allocation(snr: float, kappa: int) -> PowerAllocation:
             raise AllocationInfeasibleError(snr, kappa, threshold)
         levels.append((x_min, x_max))
     return PowerAllocation(snr_budget=snr, levels=tuple(levels))
-
-
-def effective_noise_variance(nu: int, alloc: PowerAllocation, frob2: float) -> float:
-    """Worst-case variance of noise plus weaker-level interference at level nu.
-
-    Uses the budget of every weaker level at full strength and the whole
-    matrix's second moment, so it is valid for any topology; the weakest
-    level sees thermal noise only.
-    """
-    _check_level(nu, alloc)
-    if frob2 <= 0:
-        raise ValueError("frob2 must be positive")
-    return 1.0 + _weaker_level_power(nu, alloc, frob2)
 
 
 def scalar_mi_lower_bound(
@@ -188,26 +181,31 @@ def interference_penalty(
     the witness entry given the interfering entries of the same row.  Zero at
     the weakest level, and shrinking like 1/(log E)^2 as the budget grows.
     """
-    _check_level(nu, alloc)
-    if eps2 <= 0:
-        raise ValueError("eps2 must be positive")
-    x_min = alloc.levels[nu - 1][0]
-    return math.log1p(_weaker_level_power(nu, alloc, frob2) / (1.0 + eps2 * x_min**2))
-
-
-def _check_level(nu: int, alloc: PowerAllocation) -> None:
     if not 1 <= nu <= alloc.kappa:
         raise ValueError(f"level {nu} out of range 1..{alloc.kappa}")
+    if frob2 <= 0:
+        raise ValueError("frob2 must be positive")
+    if eps2 <= 0:
+        raise ValueError("eps2 must be positive")
+    power = _weaker_level_powers(alloc, frob2)[nu - 1]
+    return _penalty(power, alloc.levels[nu - 1][0], eps2)
 
 
-def _weaker_level_power(nu: int, alloc: PowerAllocation, frob2: float) -> float:
-    """Worst-case received power of the levels weaker than nu: each at the
-    strongest weaker level's peak through the whole matrix's second moment.
+def _penalty(power: float, x_min: float, eps2: float) -> float:
+    return math.log1p(power / (1.0 + eps2 * x_min**2))
+
+
+def _weaker_level_powers(alloc: PowerAllocation, frob2: float) -> list[float]:
+    """Per level, the worst-case received power of the weaker levels: each
+    at the strongest weaker level's peak through the whole matrix's second
+    moment.  One walk from the weakest level up, keeping the running peak;
     0.0 at the weakest level."""
-    weaker = alloc.levels[nu:]
-    if not weaker:
-        return 0.0
-    return frob2 * len(weaker) * max(x_max for _, x_max in weaker) ** 2
+    powers = [0.0] * alloc.kappa
+    peak = 0.0
+    for nu in range(alloc.kappa - 1, 0, -1):
+        peak = max(peak, alloc.levels[nu][1])  # x_max of level nu + 1
+        powers[nu - 1] = frob2 * (alloc.kappa - nu) * peak**2
+    return powers
 
 
 @dataclass(frozen=True)
@@ -295,11 +293,13 @@ def _scheme_report(
 ) -> BoundReport:
     terms = []
     level_details = []
+    powers = _weaker_level_powers(alloc, frob2)
     for nu, level in enumerate(levels, start=1):
-        x_min, x_max = alloc.levels[nu - 1]
-        sigma_w = math.sqrt(effective_noise_variance(nu, alloc, frob2))
+        (x_min, x_max), power = alloc.levels[nu - 1], powers[nu - 1]
+        # the witness's noise: thermal plus every weaker level at worst case
+        sigma_w = math.sqrt(1.0 + power)
         term = scalar_mi_lower_bound(x_min, x_max, level.sigma_h, sigma_w, level.e_log_h2)
-        penalty = interference_penalty(nu, alloc, frob2, level.eps2)
+        penalty = _penalty(power, x_min, level.eps2)
         terms.append((term, penalty))
         level_details.append(
             {
@@ -374,9 +374,8 @@ def duality_upper_bound(
     ``transmitters`` to restrict to a sub-block and ``t_star`` to pin the
     dominant transmitter (otherwise the smallest fully heard one is chosen).
     """
+    _check_budget(snr)
     topo = model.topo
-    if snr < 0:
-        raise ValueError("power budget must be non-negative")
     if not topo.is_pruned:
         raise ValueError("duality bound requires a pruned topology")
     rx = sorted(set(receivers)) if receivers is not None else list(range(1, topo.n_r + 1))
@@ -496,7 +495,7 @@ class Plan:
 
     def upper_bound(self, snr: float) -> float:
         """Converse upper envelope (nats) at budget ``snr``, for the identity
-        ordering of the network, at every budget including E = 0.
+        ordering of the network, at every finite budget including E = 0.
 
         Each phase of :func:`plan`'s decomposition is bounded by
         :func:`duality_upper_bound`, the cross-phase coupling adds block
@@ -505,6 +504,7 @@ class Plan:
         kappa_star * log(1 + log(1 + E)) plus everything else folded into a
         bounded constant.
         """
+        _check_budget(snr)
         loglog = math.log1p(math.log1p(snr))
         constant = (
             sum(phase.upper_bound(snr) - loglog for phase in self.phases)
@@ -555,9 +555,9 @@ def evaluate(plan: Plan, snr: float) -> BoundReport:
     """Both bounds at budget ``snr``: :func:`scheme_rate_lower_bound` along the
     plan's chain, with :meth:`Plan.upper_bound` as ``upper_bound``.
 
-    Defined for every budget: below :func:`min_valid_snr` of kappa* the
-    layered scheme does not exist, and the report comes back infeasible with
-    the threshold in its ``note``.
+    Defined for every finite budget E >= 0: below :func:`min_valid_snr` of
+    kappa* the layered scheme does not exist, and the report comes back
+    infeasible with the threshold in its ``note``.
     """
     try:
         alloc = allocation(snr, plan.kappa_star)

@@ -74,10 +74,10 @@ class FadingModel:
         entries = tuple(self.topo.nonzero_pairs())
         object.__setattr__(self, "_entries", entries)
         m = len(entries)
-        means = np.asarray(self.means, dtype=np.complex128).reshape(-1)
+        means = np.array(self.means, dtype=np.complex128).reshape(-1)
         if means.shape != (m,):
             raise ValueError(f"means must have one value per fading entry ({m})")
-        cov = np.asarray(self.covariance, dtype=np.complex128)
+        cov = np.array(self.covariance, dtype=np.complex128)
         if cov.shape != (m, m):
             raise ValueError(f"covariance must be {m}x{m} over the fading entries")
         if not (np.isfinite(means).all() and np.isfinite(cov).all()):
@@ -92,6 +92,7 @@ class FadingModel:
             and np.allclose(mirror, here, atol=_HERMITIAN_TOL)
         ):
             raise ValueError("covariance is not Hermitian")
+        # the model's own copies: freezing them leaves the caller's arrays writable
         means.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "means", means)

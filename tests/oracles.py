@@ -33,6 +33,16 @@ def separation_ratios(alloc: PowerAllocation) -> tuple[float, ...]:
     return tuple(out)
 
 
+def weaker_level_power(alloc: PowerAllocation, nu: int, frob2: float) -> float:
+    """Worst-case received power of the levels weaker than ``nu`` (1-based),
+    from their slice alone: frob2 times their count times the square of
+    their largest x_max, and 0.0 at the weakest level."""
+    weaker = alloc.levels[nu:]
+    if not weaker:
+        return 0.0
+    return frob2 * len(weaker) * max(x_max for _, x_max in weaker) ** 2
+
+
 def log_spread(alloc: PowerAllocation, nu: int) -> float:
     """log(x_max^2 / x_min^2) of level ``nu`` (1-based), overflow-safe."""
     x_min, x_max = alloc.levels[nu - 1]

@@ -12,7 +12,6 @@ from fadenet.bounds import (
     allocation,
     alpha_penalty,
     duality_upper_bound,
-    effective_noise_variance,
     evaluate,
     interference_penalty,
     min_valid_snr,
@@ -22,8 +21,8 @@ from fadenet.bounds import (
 )
 from fadenet.fading import FadingModel, block_mutual_information
 from fadenet.powerchain import longest_chain
-from fadenet.topology import Topology, generate
-from oracles import log_spread, separation_ratios
+from fadenet.topology import Topology, generate, parse_generator_spec, prune
+from oracles import log_spread, separation_ratios, weaker_level_power
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -114,21 +113,52 @@ class TestAllocation:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             PowerAllocation(snr_budget=10.0, levels=((5.0, 2.0),))
-        with pytest.raises(ValueError):
-            PowerAllocation(snr_budget=-1.0, levels=())
+        for budget in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="power budget"):
+                PowerAllocation(snr_budget=budget, levels=())
 
 
 def test_effective_noise_variance():
-    alloc = allocation(1e8, 2)
-    assert effective_noise_variance(2, alloc, 4.0) == 1.0
-    assert effective_noise_variance(1, alloc, 4.0) == pytest.approx(4.00000001e8, rel=1e-12)
-    big = allocation(1e22, 3)
-    values = [effective_noise_variance(nu, big, 2.0) for nu in (1, 2, 3)]
+    # sigma_w^2 is the witness's noise variance: thermal plus the weaker levels at
+    # worst case, as each report carries it per level
+    network = plan(FadingModel.iid_rayleigh(generate("wyner_linear", 2)))
+    assert (network.kappa_star, network.frob2) == (2, 4.0)
+    levels = evaluate(network, 1e8).constants["levels"]
+    assert levels[1]["sigma_w"] == 1.0
+    assert levels[0]["sigma_w"] ** 2 == pytest.approx(4.00000001e8, rel=1e-12)
+    deep = evaluate(plan(FadingModel.iid_rayleigh(generate("wyner_linear", 3))), 1e22)
+    values = [level["sigma_w"] for level in deep.constants["levels"]]
+    assert len(values) == 3
     assert values[0] >= values[1] >= values[2] == 1.0
-    with pytest.raises(ValueError):
-        effective_noise_variance(0, alloc, 4.0)
-    with pytest.raises(ValueError):
-        effective_noise_variance(1, alloc, 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, seed, kappa, start",
+    [("wyner_linear:8", None, 8, 191), ("random:16,16,0.3", 5, 6, 100),
+     ("wyner_cyclic:6", None, 5, 66)],
+)
+def test_weaker_level_power_matches_the_per_level_oracle(spec, seed, kappa, start):
+    # the benchmark's bounds grids: 50 points from 10^start to 10^300
+    network = plan(FadingModel.iid_rayleigh(prune(parse_generator_spec(spec, seed=seed))))
+    assert network.kappa_star == kappa
+    step = (300 - start) / 49
+    for k in range(50):
+        report = evaluate(network, 10.0 ** (start + k * step))
+        for nu, level in enumerate(report.constants["levels"], start=1):
+            power = weaker_level_power(report.alloc, nu, network.frob2)
+            penalty = math.log1p(power / (1.0 + level["eps2"] * level["x_min"] ** 2))
+            assert level["sigma_w"] == math.sqrt(1.0 + power)
+            assert level["interference_penalty"] == penalty
+            assert interference_penalty(nu, report.alloc, network.frob2, level["eps2"]) == penalty
+
+
+@pytest.mark.parametrize("windows", [((1, 2), (1, 10), (1, 3)), ((1, 2), (1, 3), (1, 10))])
+def test_weaker_level_power_keeps_the_running_peak(windows):
+    # windows that are not nested: the strongest weaker level need not be the next one
+    alloc = PowerAllocation(snr_budget=100.0, levels=windows)
+    for nu in (1, 2, 3):
+        power = weaker_level_power(alloc, nu, 2.0)
+        assert interference_penalty(nu, alloc, 2.0, 0.5) == math.log1p(power / 1.5)
 
 
 class TestScalarBound:
@@ -177,6 +207,16 @@ class TestInterferencePenalty:
         alloc = allocation(1e8, 2)
         with pytest.raises(ValueError):
             interference_penalty(1, alloc, 4.0, 0.0)
+
+    @pytest.mark.parametrize("frob2", [0.0, -4.0])
+    def test_requires_positive_frob2(self, frob2):
+        with pytest.raises(ValueError, match="frob2"):
+            interference_penalty(1, allocation(1e8, 2), frob2, 1.0)
+
+    @pytest.mark.parametrize("nu", [0, 3])
+    def test_level_out_of_range(self, nu):
+        with pytest.raises(ValueError, match="out of range"):
+            interference_penalty(nu, allocation(1e8, 2), 4.0, 1.0)
 
 
 def test_level_window_loglog_drift_is_bounded():
@@ -356,6 +396,34 @@ class TestConverseEnvelope:
         assert cross == 0.0  # independent entries
         upper = two_phase_converse(model, 1e8, cross)
         assert plan(model).upper_bound(1e8) == pytest.approx(upper, rel=1e-12)
+
+
+_FULL_1_1 = FadingModel.iid_rayleigh(generate("full", 1, 1))
+_BUDGET_ENTRY_POINTS = {
+    "allocation": lambda snr: allocation(snr, 1),
+    "evaluate": lambda snr: evaluate(plan(_FULL_1_1), snr),
+    "scheme_rate_lower_bound": lambda snr: scheme_rate_lower_bound(
+        _FULL_1_1, longest_chain(_FULL_1_1.topo)[1], snr
+    ),
+    "Plan.upper_bound": lambda snr: plan(_FULL_1_1).upper_bound(snr),
+    "duality_upper_bound": lambda snr: duality_upper_bound(_FULL_1_1, snr),
+}
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(_BUDGET_ENTRY_POINTS))
+def test_budget_must_be_finite_and_non_negative(entry, snr):
+    with pytest.raises(ValueError) as err:
+        _BUDGET_ENTRY_POINTS[entry](snr)
+    assert type(err.value) is ValueError
+    assert f"power budget {snr:g} " in str(err.value)
+
+
+def test_zero_budget_has_no_scheme():
+    # the converse is finite at E = 0 (TestConverseEnvelope::test_zero_budget_anchor)
+    assert not evaluate(plan(_FULL_1_1), 0.0).feasible
+    with pytest.raises(AllocationInfeasibleError):
+        allocation(0.0, 1)
 
 
 class TestPlan:

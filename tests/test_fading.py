@@ -30,6 +30,22 @@ def row_pair_model():
     return FadingModel.from_mapping(topo, covariance=cov)
 
 
+def test_model_copies_the_callers_arrays():
+    topo = generate("full", 2, 1)
+    means = np.array([0.5, 0.0], dtype=np.complex128)
+    cov = np.array([[1.0, 0.6], [0.6, 1.0]], dtype=np.complex128)
+    models = [
+        FadingModel(topo, means, cov),
+        FadingModel.from_mapping(topo, {(1, 1): 0.5}, covariance=cov),
+    ]
+    assert means.flags.writeable and cov.flags.writeable
+    cov[0, 1] = cov[1, 0] = 0.3
+    means[0] = 2.0
+    for model in models:
+        assert not (model.means.flags.writeable or model.covariance.flags.writeable)
+        assert (model.covariance[0, 1], model.means[0]) == (0.6, 0.5)
+
+
 def test_iid_rayleigh_basics():
     topo = generate("wyner_linear", 3)
     model = FadingModel.iid_rayleigh(topo)
