@@ -25,6 +25,7 @@ import numpy as np
 
 from .fading import FadingModel, block_mutual_information, log_h_squared_mean
 from .powerchain import PowerChain, decompose, longest_chain, validate_chain
+from .topology import _is_int
 
 __all__ = [
     "AllocationInfeasibleError",
@@ -88,7 +89,8 @@ class PowerAllocation:
         return len(self.levels)
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that a bool or a float never finds a cached integer's entry
+@functools.lru_cache(maxsize=None, typed=True)
 def min_valid_snr(kappa: int) -> float:
     """Smallest budget above which the layered allocation is well ordered.
 
@@ -99,8 +101,8 @@ def min_valid_snr(kappa: int) -> float:
     u - k log u = 0.  A pure function of kappa, so it is memoised:
     :func:`allocation` asks for it at every grid point.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+    if not (_is_int(kappa) and kappa >= 1):
+        raise ValueError(f"kappa must be an integer of at least 1, not {kappa!r}")
     k = float(kappa * (kappa + 1))
     if k < math.e:  # exp(u/k) - u is then positive for every u
         return math.e
@@ -181,8 +183,8 @@ def interference_penalty(
     the witness entry given the interfering entries of the same row.  Zero at
     the weakest level, and shrinking like 1/(log E)^2 as the budget grows.
     """
-    if not 1 <= nu <= alloc.kappa:
-        raise ValueError(f"level {nu} out of range 1..{alloc.kappa}")
+    if not (_is_int(nu) and 1 <= nu <= alloc.kappa):
+        raise ValueError(f"level nu={nu!r} out of range 1..{alloc.kappa}")
     if frob2 <= 0:
         raise ValueError("frob2 must be positive")
     if eps2 <= 0:
@@ -378,8 +380,8 @@ def duality_upper_bound(
     topo = model.topo
     if not topo.is_pruned:
         raise ValueError("duality bound requires a pruned topology")
-    rx = sorted(set(receivers)) if receivers is not None else list(range(1, topo.n_r + 1))
-    tx = sorted(set(transmitters)) if transmitters is not None else list(range(1, topo.n_t + 1))
+    rx = _block_labels("receivers", receivers, topo.n_r)
+    tx = _block_labels("transmitters", transmitters, topo.n_t)
     if not rx or not tx:
         raise ValueError("block needs at least one receiver and transmitter")
     for r in rx:
@@ -392,12 +394,24 @@ def duality_upper_bound(
             raise ValueError("no transmitter in the block is heard by every receiver")
         t_star = fully_heard[0]
     else:
+        if not _is_int(t_star):
+            raise ValueError(f"t_star must be an integer, not {t_star!r}")
         if t_star not in tx:
             raise ValueError(f"t_star {t_star} is not in the block")
         if any((r, t_star) in topo.zeros for r in rx):
             raise ValueError(f"t_star {t_star} is not heard by every receiver in the block")
 
     return _duality_phase(model, rx, tx, t_star).upper_bound(snr)
+
+
+def _block_labels(name: str, labels: Sequence[int] | None, n: int) -> list[int]:
+    """A block's sorted distinct labels as ints, all 1..n by default."""
+    if labels is None:
+        return list(range(1, n + 1))
+    labels = list(labels)
+    if not all(map(_is_int, labels)):
+        raise ValueError(f"{name} must hold integers, not {labels!r}")
+    return sorted(set(map(int, labels)))
 
 
 @dataclass(frozen=True)

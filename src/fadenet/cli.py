@@ -15,7 +15,6 @@ including under --workers parallelism.  Exit codes: 0 success, 2 bad input,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -410,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SIZE_GUARD
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except (ArithmeticError, MemoryError) as exc:

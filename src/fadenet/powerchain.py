@@ -216,10 +216,12 @@ def decompose(topo: Topology, permutation: Sequence[int]) -> ChainDecomposition:
     """Scan a transmitter ordering and keep every member that still reaches a
     new receiver, producing a power chain plus receiver/transmitter blocks.
 
-    The first transmitter of the ordering is always kept.  A later one is kept
-    exactly when it reaches a receiver missed by all kept predecessors; the
-    skipped transmitters are grouped with the most recent kept one.  Requires
-    a pruned topology so that the receiver blocks partition all receivers.
+    A transmitter is kept exactly when it reaches a receiver missed by all of
+    its predecessors (its fresh receivers, the walk ``validate_chain``
+    checks), and those receivers are its block; the skipped transmitters are
+    grouped with the most recent kept one.  Requires a pruned topology, so
+    that the first transmitter is always kept and the receiver blocks
+    partition all receivers.
     """
     perm = tuple(permutation)
     if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, topo.n_t + 1)):
@@ -228,41 +230,22 @@ def decompose(topo: Topology, permutation: Sequence[int]) -> ChainDecomposition:
     if not topo.is_pruned:
         raise ValueError("decompose requires a pruned topology")
 
-    masks = topo.hearer_masks
-    positions = [1]
-    covered = masks[perm[0] - 1]
-    blocks_r = [covered]
-    for pos in range(2, topo.n_t + 1):
-        fresh = masks[perm[pos - 1] - 1] & ~covered
-        if fresh:
-            positions.append(pos)
-            blocks_r.append(fresh)
-            covered |= masks[perm[pos - 1] - 1]
-
-    kappa = len(positions)
-    transmitters = tuple(perm[p - 1] for p in positions)
-    witnesses = tuple((b & -b).bit_length() for b in blocks_r)
+    fresh = _fresh_receivers(topo, perm)
+    positions = [pos for pos, mask in enumerate(fresh, start=1) if mask]
+    blocks_r = [fresh[p - 1] for p in positions]
     bounds = positions + [topo.n_t + 1]
-    blocks_t = tuple(
-        frozenset(perm[i - 1] for i in range(bounds[k], bounds[k + 1]))
-        for k in range(kappa)
-    )
-    receiver_blocks = tuple(_bits_to_set(b) for b in blocks_r)
     return ChainDecomposition(
         permutation=perm,
         chain_positions=tuple(positions),
-        chain=PowerChain(transmitters, witnesses),
-        receiver_blocks=receiver_blocks,
-        transmitter_blocks=blocks_t,
+        chain=PowerChain(
+            tuple(perm[p - 1] for p in positions),
+            tuple((b & -b).bit_length() for b in blocks_r),
+        ),
+        receiver_blocks=tuple(
+            frozenset(r for r in range(1, topo.n_r + 1) if b >> (r - 1) & 1)
+            for b in blocks_r
+        ),
+        transmitter_blocks=tuple(
+            frozenset(perm[lo - 1 : hi - 1]) for lo, hi in zip(bounds, bounds[1:])
+        ),
     )
-
-
-def _bits_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    i = 1
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)

@@ -55,6 +55,20 @@ class TestMinValidSnr:
         with pytest.raises(ValueError):
             min_valid_snr(0)
 
+    @pytest.mark.parametrize("kappa", [True, 2.0, "2"])
+    def test_kappa_must_be_an_integer(self, kappa):
+        # cached numpy integers equal to True and 2.0 must not answer for them
+        for cached in (np.int64(1), np.int64(2)):
+            min_valid_snr(cached)
+        with pytest.raises(ValueError, match="kappa must be an integer"):
+            min_valid_snr(kappa)
+        with pytest.raises(ValueError, match="kappa must be an integer"):
+            allocation(1e30, kappa)
+
+    def test_numpy_integer_kappa_is_accepted(self):
+        assert min_valid_snr(np.int32(3)) == min_valid_snr(3)
+        assert allocation(1e30, np.int64(2)) == allocation(1e30, 2)
+
 
 class TestScipyFreeForms:
     """The scalar special functions the bounds compute without scipy, each
@@ -118,7 +132,7 @@ class TestAllocation:
                 PowerAllocation(snr_budget=budget, levels=())
 
 
-def test_effective_noise_variance():
+def test_reports_carry_each_levels_noise_std():
     # sigma_w^2 is the witness's noise variance: thermal plus the weaker levels at
     # worst case, as each report carries it per level
     network = plan(FadingModel.iid_rayleigh(generate("wyner_linear", 2)))
@@ -217,6 +231,14 @@ class TestInterferencePenalty:
     def test_level_out_of_range(self, nu):
         with pytest.raises(ValueError, match="out of range"):
             interference_penalty(nu, allocation(1e8, 2), 4.0, 1.0)
+
+    @pytest.mark.parametrize("nu", [True, 1.0, "1"])
+    def test_level_must_be_an_integer(self, nu):
+        alloc = allocation(1e8, 2)
+        with pytest.raises(ValueError, match="level nu="):
+            interference_penalty(nu, alloc, 4.0, 1.0)
+        numpy = interference_penalty(np.int64(1), alloc, 4.0, 1.0)
+        assert numpy == interference_penalty(1, alloc, 4.0, 1.0)
 
 
 def test_level_window_loglog_drift_is_bounded():
@@ -318,6 +340,24 @@ class TestDualityUpperBound:
         assert math.isfinite(value)
         with pytest.raises(ValueError):
             duality_upper_bound(model, 1e8, t_star=1, receivers=[1, 2])
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1"])
+    @pytest.mark.parametrize("name", ["t_star", "receivers", "transmitters"])
+    def test_labels_must_be_integers(self, name, label):
+        # a list holds the label beside an integer it equals (True == 1.0 == 1)
+        model = FadingModel.iid_rayleigh(generate("full", 2, 2))
+        kwargs = {"t_star": 1, "receivers": [1, 2], "transmitters": [1, 2]}
+        kwargs[name] = label if name == "t_star" else [1, label, 2]
+        with pytest.raises(ValueError, match=name):
+            duality_upper_bound(model, 1e8, **kwargs)
+
+    def test_numpy_integer_labels_are_accepted(self):
+        model = FadingModel.iid_rayleigh(generate("full", 2, 2))
+        plain = duality_upper_bound(model, 1e8, t_star=2, receivers=[1, 2], transmitters=[1, 2])
+        numpy = duality_upper_bound(
+            model, 1e8, t_star=np.int64(2), receivers=np.arange(1, 3), transmitters=[np.int32(1), 2]
+        )
+        assert numpy == plain
 
     def test_requires_pruned(self):
         unpruned = Topology(n_t=2, n_r=1, zeros=frozenset({(1, 2)}))

@@ -305,3 +305,43 @@ def test_decompose_invariants_over_all_permutations():
             validate_chain(topo, dec.chain)
             best = max(best, dec.kappa)
         assert best == kappa_star
+
+
+@st.composite
+def _pruned_orderings(draw):
+    topo = draw(_topologies(max_transmitters=9, receivers=(1, 9)).map(prune).filter(
+        lambda topo: not topo.is_empty
+    ))
+    return topo, tuple(draw(st.permutations(range(1, topo.n_t + 1))))
+
+
+@given(_pruned_orderings())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_decompose_blocks_follow_their_definition(case):
+    # every block derived from the zero pairs alone: receiver block k holds
+    # the receivers that hear the k-th kept transmitter and no earlier one of
+    # the order, a position is kept when its block is non-empty, transmitter
+    # block k runs from kept position k to the next, and the witness is the
+    # smallest receiver of its block
+    topo, perm = case
+    positions, receiver_blocks = [], []
+    for pos, t in enumerate(perm, start=1):
+        block = frozenset(
+            r
+            for r in range(1, topo.n_r + 1)
+            if all((r, u) in topo.zeros for u in perm[: pos - 1]) and (r, t) not in topo.zeros
+        )
+        if block:
+            positions.append(pos)
+            receiver_blocks.append(block)
+    ends = positions[1:] + [topo.n_t + 1]
+    dec = decompose(topo, perm)
+    assert dec.permutation == perm
+    assert dec.chain_positions == tuple(positions)
+    assert dec.receiver_blocks == tuple(receiver_blocks)
+    assert dec.transmitter_blocks == tuple(
+        frozenset(perm[start - 1 : end - 1]) for start, end in zip(positions, ends)
+    )
+    assert dec.chain == PowerChain(
+        tuple(perm[pos - 1] for pos in positions), tuple(min(b) for b in receiver_blocks)
+    )

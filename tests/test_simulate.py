@@ -103,6 +103,24 @@ class TestEstimatePairMi:
         with pytest.raises(ValueError, match="at least"):
             estimate_pair_mi(model, chain, alloc, 1, 200, 50, seed=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("nu", True), ("nu", 1.0), ("nu", "1"),
+        ("n_outer", True), ("n_outer", 1000.0), ("n_outer", "200"),
+        ("m_inner", True), ("m_inner", 150.5), ("m_inner", "200"),
+    ])
+    def test_integer_arguments(self, scalar_setup, name, value):
+        _, model, chain = scalar_setup
+        kwargs = {"nu": 1, "n_outer": 200, "m_inner": 200, name: value}
+        with pytest.raises(ValueError, match=f"{name}[= ]"):
+            estimate_pair_mi(model, chain, allocation(1e8, 1), seed=0, **kwargs)
+
+    def test_numpy_integer_arguments_are_accepted(self, scalar_setup):
+        _, model, chain = scalar_setup
+        alloc = allocation(1e8, 1)
+        plain = estimate_pair_mi(model, chain, alloc, 1, 200, 200, seed=0)
+        numpy = estimate_pair_mi(model, chain, alloc, np.int64(1), np.int32(200), np.int64(200), seed=0)
+        assert numpy == plain
+
     def test_level_and_alloc_validation(self, scalar_setup):
         topo, model, chain = scalar_setup
         with pytest.raises(ValueError, match="differ"):
@@ -277,6 +295,26 @@ class TestMagnitudeQuadrature:
                 patch.setattr(simulate, "_GL_NODES_PER_PANEL", 64)
                 fine = estimate_pair_mi(model, chain, alloc, 1, 100, 100, seed=6)
             assert abs(fine.value - base.value) < 1e-6, (snr, base, fine)
+
+    def test_rician_blocks_fit_the_element_budget(self, scalar_setup, monkeypatch):
+        # K = 1e4 at E = 1e16 narrows the s panels to 0.025: thousands of
+        # nodes per row, so a block holds a few dozen rows
+        topo, _, chain = scalar_setup
+        model = FadingModel.from_mapping(topo, means={(1, 1): 100.0})
+        shapes = []
+        kernel = simulate._logsumexp_rows
+
+        def recording(block):
+            shapes.append(block.shape)
+            return kernel(block)
+
+        monkeypatch.setattr(simulate, "_logsumexp_rows", recording)
+        estimate_pair_mi(model, chain, allocation(1e16, 1), 1, 300, 100, seed=3)
+        columns = {shape[1] for shape in shapes}
+        assert len(columns) == 1 and columns.pop() >= 1000, shapes
+        assert sum(rows for rows, _ in shapes) == 300
+        assert len(shapes) > 1
+        assert max(math.prod(shape) for shape in shapes) <= simulate._BLOCK_ELEMENTS
 
 
 class TestLogsumexpRows:
@@ -672,11 +710,24 @@ class TestSnrSweep:
             snr_sweep(pair_network, [1e8], 400, 120, **kwargs)
 
     def test_numpy_integer_seed_and_workers_are_accepted(self, pair_network):
-        # stored as int, so the records read as those of the same Python ints
+        # stored as int, sample counts too, so the records read as those of
+        # the same Python ints
         grid = [1e5, 1e8]
         plain = snr_sweep(pair_network, grid, 200, 100, seed=5, workers=2)
-        numpy = snr_sweep(pair_network, grid, 200, 100, seed=np.int64(5), workers=np.int32(2))
+        numpy = snr_sweep(
+            pair_network, grid, np.int64(200), np.int32(100), seed=np.int64(5), workers=np.int32(2)
+        )
         assert repr(numpy) == repr(plain)
+        assert all(type(r.n_outer) is int and type(r.m_inner) is int for r in numpy)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_outer", True), ("n_outer", 1000.0), ("n_outer", "200"),
+        ("m_inner", True), ("m_inner", 150.5), ("m_inner", "200"),
+    ])
+    def test_sample_counts_must_be_integers(self, pair_network, name, value):
+        counts = {"n_outer": 200, "m_inner": 200, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            snr_sweep(pair_network, [1e8], counts["n_outer"], counts["m_inner"], seed=1)
 
     def test_infeasible_point_is_isolated(self, pair_network):
         model = pair_network
