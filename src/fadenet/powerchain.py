@@ -58,6 +58,8 @@ def validate_chain(topo: Topology, chain: PowerChain) -> None:
     if not all(fresh):
         raise ValueError(f"{chain.transmitters} is not a power chain of the topology")
     for t, r, new in zip(chain.transmitters, chain.witnesses, fresh):
+        if not _is_int(r):
+            raise ValueError(f"witness labels must be integers, not {r!r}")
         if not (1 <= r <= topo.n_r and new >> (r - 1) & 1):
             raise ValueError(f"witness {r} for transmitter {t} is not newly reached")
 
@@ -66,7 +68,7 @@ def is_power_chain(topo: Topology, transmitters: Sequence[int]) -> bool:
     """True when every transmitter in the tuple reaches a receiver missed by
     all of its predecessors.  The empty tuple is trivially a chain.
 
-    Raises on duplicate or out-of-range transmitter indices.
+    Raises on duplicate, non-integer or out-of-range transmitter labels.
     """
     return all(_fresh_receivers(topo, transmitters))
 

@@ -8,7 +8,11 @@ per-level helper the analytic bounds use (``fadenet.bounds._chain_level``).
 No receiver sees the fading, only its law; Gaussian fading integrates out in
 closed form, and given the level's inputs w = (x, xi_1..xi_d) the witness
 output is complex Gaussian (``_output_law``).  Outer samples are drawn
-through that law and the estimate averages log f(y|x) - log f(y) over them.
+through that law in chunks, each evaluated as soon as it is drawn, and the
+estimate averages log f(y|x) - log f(y) over them.  A quadrature level (no
+inner draws; see below) takes up to ``_BLOCK_ELEMENTS`` rows per chunk, so
+any sample count up to 128 000 is one chunk and a few large numpy calls; a
+nested level takes as many rows as fill that budget with inner draws.
 With no interferer heard, or one zero-mean interferer uncorrelated with the
 witness entry, y is Gaussian given the input magnitudes, so both densities
 are deterministic, with the phases averaged exactly (a Bessel factor when
@@ -30,8 +34,9 @@ each feasible point.
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
 so the worker count never changes the output bytes.  The sweep's workers are
-threads: a second one pays on nested-path levels, whose mixtures are long
-numpy calls, and ties on quadrature sweeps.
+threads: a second one pays wherever a level is long numpy calls, on
+nested-path levels and on quadrature levels with many outer samples, and
+ties on quadrature sweeps with a few thousand.
 """
 
 from __future__ import annotations
@@ -74,7 +79,8 @@ _GL_RICIAN_PANELS = 2.5
 # (Rician levels, zero-mean fallback rows) takes rows times the s nodes
 # (8-480 on a zero-mean level up to E = 1e16) times the interferer nodes.
 # It also sizes the scratch block (two with a fading mean) that each
-# Gauss-Legendre log f(y) call allocates
+# Gauss-Legendre log f(y) call allocates, and caps the outer rows a
+# quadrature level draws at once
 _BLOCK_ELEMENTS = 128_000
 # zero-mean closed form of the s-average (``_magnitude_quadrature``): the
 # asymptotic series of e^-q Ei(q) is used from this q on and summed until a
@@ -255,11 +261,12 @@ def _magnitude_quadrature(
     mu_r = np.repeat(abs(mu) * r, len(b))
     two_mu_r = 2.0 * mu_r
     rows = max(1, _BLOCK_ELEMENTS // len(v))
-    # rows per block of a rule over the interferer nodes alone: a 32nd of
+    # rows per block of a rule over the interferer nodes alone: an eighth of
     # the element budget, since the closed form below keeps up to about ten
-    # arrays of that shape alive at once, and small blocks keep each sweep
-    # thread's heap small at little cost in time
-    b_rows = max(1, _BLOCK_ELEMENTS // (32 * len(b)))
+    # arrays of that shape alive at once.  On perfbench's mc_interf sweep
+    # (2 workers, 2-core VM) a 32nd took 0.023 s and 64.0 MiB of peak RSS, an
+    # eighth 0.015 s and 65.1 MiB, and a quarter 0.016 s and 65.1 MiB
+    b_rows = max(1, _BLOCK_ELEMENTS // (8 * len(b)))
 
     def log_conditional(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = np.empty(len(y))
@@ -435,15 +442,12 @@ def estimate_pair_mi(
         comp = -np.log(math.pi * var) - np.abs(y[:, None] - mean) ** 2 / var
         return _logsumexp_rows(comp) - math.log(x.shape[-1])
 
-    # a quadrature level draws its outer samples in 256-row chunks, which
-    # fixes its random stream, and evaluates its deterministic densities once
-    # over all of them: row by row the same values, in far fewer numpy calls
-    chunk = max(1, _BLOCK_ELEMENTS // m_inner) if quadrature is None else 256
+    # outer rows per chunk: a chunk's inner draws fill the element budget on
+    # the nested path, and its rows alone on a quadrature level, whose
+    # densities then block their own work by their node counts
+    chunk = max(1, _BLOCK_ELEMENTS // m_inner) if quadrature is None else _BLOCK_ELEMENTS
     vals = np.empty(n_outer)
-    xs = np.empty(n_outer, dtype=complex)
-    ys = np.empty(n_outer, dtype=complex)
-    done = 0
-    while done < n_outer:
+    for done in range(0, n_outer, chunk):
         n = min(chunk, n_outer - done)
         x = draw_target((n,))
         mean, var = draw_output_law(x)
@@ -453,12 +457,9 @@ def estimate_pair_mi(
             # with no interferer the conditional is one exact component
             log_cond = mixture_logpdf(y, np.broadcast_to(x[:, None], (n, m_inner if d else 1)))
             log_marg = mixture_logpdf(y, draw_target((n, m_inner)))
-            vals[done : done + n] = log_cond - log_marg
         else:
-            xs[done : done + n], ys[done : done + n] = x, y
-        done += n
-    if quadrature is not None:
-        vals = quadrature.log_conditional(ys, xs) - quadrature.log_marginal(ys)
+            log_cond, log_marg = quadrature.log_conditional(y, x), quadrature.log_marginal(y)
+        vals[done : done + n] = log_cond - log_marg
 
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_outer))
     return MiEstimate(value=float(np.mean(vals)), stderr=stderr)
@@ -515,10 +516,11 @@ def snr_sweep(
     root by position, and records are assembled in grid order, so the result
     is byte-identical for any ``workers`` count.  The worker threads share
     one queue of (point, level) estimates in grid order; a second worker pays
-    on nested-path levels and ties on quadrature sweeps.  Each point is
-    :func:`fadenet.bounds.evaluate`'s report, plus the per-level estimates
-    when it is feasible; points below the allocation threshold come back
-    infeasible, with the report's note, instead of failing the sweep.
+    on nested-path levels and on quadrature levels with many outer samples.
+    Each point is :func:`fadenet.bounds.evaluate`'s report, plus the
+    per-level estimates when it is feasible; points below the allocation
+    threshold come back infeasible, with the report's note, instead of
+    failing the sweep.
     """
     if not model.topo.is_pruned:
         raise ValueError("sweep requires a pruned topology")

@@ -93,12 +93,12 @@ class Topology:
         return all(masks) and reduce(or_, masks) == (1 << self.n_r) - 1
 
     def _check_transmitter(self, t: int) -> None:
-        if not 1 <= t <= self.n_t:
-            raise ValueError(f"transmitter index {t} out of range 1..{self.n_t}")
+        if not (_is_int(t) and 1 <= t <= self.n_t):
+            raise ValueError(f"transmitter index {t!r} is not one of the integers 1..{self.n_t}")
 
     def _check_receiver(self, r: int) -> None:
-        if not 1 <= r <= self.n_r:
-            raise ValueError(f"receiver index {r} out of range 1..{self.n_r}")
+        if not (_is_int(r) and 1 <= r <= self.n_r):
+            raise ValueError(f"receiver index {r!r} is not one of the integers 1..{self.n_r}")
 
 
 def prune(topo: Topology) -> Topology:
@@ -143,7 +143,7 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
         pruning removes everything.
     """
     sizes = params[:2] if kind == "random" else params
-    if not all(float(p).is_integer() for p in sizes):
+    if not all(not isinstance(p, (bool, np.bool_)) and float(p).is_integer() for p in sizes):
         raise ValueError(f"{kind} topology sizes must be whole numbers, got {list(sizes)}")
     ints = [int(p) for p in sizes]
     if kind == "full":

@@ -465,6 +465,35 @@ class TestInterfererQuadrature:
         _, chain = longest_chain(topo)
         _assert_row_kernel_matches_scipy(FadingModel.iid_rayleigh(topo), chain, monkeypatch)
 
+    def test_densities_do_not_depend_on_the_rows_beside_them(self, z_model, monkeypatch):
+        # the estimator hands each rule a whole chunk of outer rows, which it
+        # splits into blocks by its node counts; a row's densities must be
+        # the same bits whatever rows share its block.  Outputs from far
+        # below to far above each level's range send rows of every model to
+        # the tensor-rule fallback as well as to the closed form
+        model, chain = z_model
+        rules = []
+        real = simulate._magnitude_quadrature
+
+        def recording(*args):
+            rules.append(real(*args))
+            return rules[-1]
+
+        monkeypatch.setattr(simulate, "_magnitude_quadrature", recording)
+        alloc = allocation(1e12, 2)
+        for nu in (1, 2):
+            estimate_pair_mi(model, chain, alloc, nu, 100, 100, seed=0)
+        assert len(rules) == 2
+        rng = np.random.default_rng(7)
+        for rule, (x_lo, x_hi) in zip(rules, alloc.levels):
+            x = simulate._level_inputs(rng, x_lo, x_hi, (400,))
+            y = simulate._level_inputs(rng, 1e-4, 1e4 * x_hi, (400,))
+            rows = [slice(i, i + 1) for i in range(len(y))]
+            cond = np.concatenate([rule.log_conditional(y[i], x[i]) for i in rows])
+            marg = np.concatenate([rule.log_marginal(y[i]) for i in rows])
+            assert np.array_equal(cond, rule.log_conditional(y, x))
+            assert np.array_equal(marg, rule.log_marginal(y))
+
     @pytest.mark.parametrize("mu", [0j, 1.0 + 0.5j])
     @pytest.mark.parametrize("sigma2", [1.0, 1e6])
     def test_densities_match_adaptive_quadrature(self, mu, sigma2):
@@ -684,6 +713,31 @@ class TestSnrSweep:
         serial = snr_sweep(model, grid, 400, 120, seed=77, workers=1)
         pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
         assert repr(serial) == repr(pooled)
+
+    def test_chunked_quadrature_levels_keep_the_contract(self, pair_network, monkeypatch):
+        # a quadrature level draws its outer rows in chunks of the element
+        # budget; shrunk, 500 rows take four chunks per level.  The bytes
+        # still follow the seed alone, and the chunked stream estimates the
+        # same rates as the one-chunk stream
+        grid = [1e8, 1e12, 1e16]
+        whole = snr_sweep(pair_network, grid, 500, 100, seed=3)
+        chunks = []
+        draw = simulate._level_inputs
+
+        def recording(rng, x_min, x_max, shape):
+            chunks.append(shape)
+            return draw(rng, x_min, x_max, shape)
+
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 128)
+        monkeypatch.setattr(simulate, "_level_inputs", recording)
+        serial = snr_sweep(pair_network, grid, 500, 100, seed=3, workers=1)
+        assert sorted(chunks) == sorted(([(128,)] * 3 + [(116,)]) * 6)
+        pooled = snr_sweep(pair_network, grid, 500, 100, seed=3, workers=2)
+        assert repr(serial) == repr(pooled)
+        for one, many in zip(whole, serial):
+            assert one.mc_estimate != many.mc_estimate
+            tol = 4 * math.hypot(one.mc_stderr, many.mc_stderr)
+            assert abs(one.mc_estimate - many.mc_estimate) < tol, (one, many)
 
     def test_estimates_are_requested_in_grid_order(self, pair_network, monkeypatch):
         # point by point, level by level; the infeasible point requests none

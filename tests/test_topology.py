@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadenet.fading import FadingModel, block_mutual_information
-from fadenet.powerchain import decompose
+from fadenet.powerchain import PowerChain, decompose, is_power_chain, validate_chain
 from fadenet.topology import (
     GENERATOR_KINDS,
     Topology,
@@ -44,6 +44,11 @@ LABELLED = {
         FadingModel.iid_rayleigh(Z_CHANNEL), [(a, 1)], [(2, b)]
     ),
     "decompose": lambda a, b: decompose(Z_CHANNEL, (a, b)),
+    "is_power_chain": lambda a, b: is_power_chain(Z_CHANNEL, (a, b)),
+    "validate_chain transmitters": lambda a, b: validate_chain(Z_CHANNEL, PowerChain((a, b), (1, 2))),
+    "validate_chain witnesses": lambda a, b: validate_chain(Z_CHANNEL, PowerChain((1, 2), (a, b))),
+    "entry_mean": lambda a, b: FadingModel.iid_rayleigh(Z_CHANNEL).entry_mean(a, b),
+    "submatrix": lambda a, b: FadingModel.iid_rayleigh(Z_CHANNEL).submatrix([(a, b)]),
 }
 
 
@@ -143,12 +148,14 @@ def test_generator_parameter_validation():
         generate("nonsense", 3)
     with pytest.raises(ValueError):
         generate("random", 3, 3, 1.5, seed=1)
-    # a fractional or infinite size is rejected, not truncated
+    # a fractional, infinite or bool size is rejected, not truncated
     for kind, params in (
         ("diagonal", (1.5,)),
         ("full", (2.7, 3)),
         ("full", (float("inf"), 1)),
         ("random", (3.5, 4, 0.5)),
+        ("diagonal", (True,)),
+        ("full", (2, np.True_)),
     ):
         with pytest.raises(ValueError, match="whole numbers"):
             generate(kind, *params, seed=1)
