@@ -162,11 +162,8 @@ class FadingModel:
         return cls(topo=topo, means=mean_vec, covariance=covariance, ar1_rho=ar1_rho)
 
     def entry_index(self, r: int, t: int) -> int:
-        # True and 1.0 hash like the label 1, so the lookup alone would take
-        # them.  Plain ints pass on their type: the bounds plans of perfbench's
-        # bounds workload make about a thousand lookups per pass, and the
-        # general check on each cost about 0.6 ms (1.5%) there
-        if not (type(r) is int and type(t) is int or _is_int(r) and _is_int(t)):
+        # True and 1.0 hash like the label 1, so the lookup alone would take them
+        if not (_is_int(r) and _is_int(t)):
             raise ValueError(f"entry label {(r, t)!r} must be integers")
         try:
             return self._index[(r, t)]

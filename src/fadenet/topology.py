@@ -230,7 +230,10 @@ def topology_to_dict(topo: Topology) -> dict:
 
 def _is_int(value) -> bool:
     """Whether a node label or count is an integer: a Python or numpy int,
-    but not a bool (which Python counts as an int), a float or a string."""
+    but not a bool (which Python counts as an int), a float or a string.
+    Plain ints, by far the most common, are settled by their type alone."""
+    if type(value) is int:
+        return True
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 

@@ -735,7 +735,6 @@ class TestSnrSweep:
         pooled = snr_sweep(pair_network, grid, 500, 100, seed=3, workers=2)
         assert repr(serial) == repr(pooled)
         for one, many in zip(whole, serial):
-            assert one.mc_estimate != many.mc_estimate
             tol = 4 * math.hypot(one.mc_stderr, many.mc_stderr)
             assert abs(one.mc_estimate - many.mc_estimate) < tol, (one, many)
 
