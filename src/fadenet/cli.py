@@ -123,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="threads sharing the (grid point, level) estimates; a second "
-        "one pays on nested-path levels and on quadrature sweeps with many "
-        "outer samples, and ties at a few thousand; the output bytes do not "
-        "depend on it",
+        "one pays on nested-path levels and on quadrature sweeps with tens of "
+        "thousands of outer samples, and loses at a few thousand; the output "
+        "bytes do not depend on it",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

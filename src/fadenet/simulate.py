@@ -3,40 +3,48 @@ SNR sweep that sets them beside the analytic bounds.
 
 Chain level nu's input has a log-uniform magnitude on the level's window of
 the allocation and a uniform phase (``_level_inputs``, the one place that law
-is drawn).  The witness and the weaker levels it hears come from the
-per-level helper the analytic bounds use (``fadenet.bounds._chain_level``).
-No receiver sees the fading, only its law; Gaussian fading integrates out in
-closed form, and given the level's inputs w = (x, xi_1..xi_d) the witness
-output is complex Gaussian (``_output_law``).  Outer samples are drawn
-through that law in chunks, each evaluated as soon as it is drawn, and the
-estimate averages log f(y|x) - log f(y) over them.  A quadrature level (no
-inner draws; see below) takes up to ``_BLOCK_ELEMENTS`` rows per chunk, so
-any sample count up to 128 000 is one chunk and a few large numpy calls; a
-nested level takes as many rows as fill that budget with inner draws.
+is drawn, on top of ``_log_uniform_magnitudes``).  The witness and the weaker
+levels it hears come from the per-level helper the analytic bounds use
+(``fadenet.bounds._chain_level``), and ``_level_law`` adds the means and
+covariance of the level's entries once per network.  No receiver sees the
+fading, only its law; Gaussian fading integrates out in closed form, and
+given the level's inputs w = (x, xi_1..xi_d) the witness output is complex
+Gaussian (``_output_law``).  The estimate averages log f(y|x) - log f(y)
+over outer samples.
+
 With no interferer heard, or one zero-mean interferer uncorrelated with the
-witness entry, y is Gaussian given the input magnitudes, so both densities
-are deterministic, with the phases averaged exactly (a Bessel factor when
-the fading has a mean): composite Gauss-Legendre over the interferer's
-log-magnitude, and over the target's log-magnitude an exact average through
-the exponential integral when the fading has zero mean (Gauss-Legendre with
-a mean, and on the few rows the closed form does not cover).  Other levels,
-and every level when the caller supplies its own magnitude law, use a nested
-plug-in: each density is an equal-weight mixture of output laws over fresh
-inner draws of the inputs it does not condition on, so the only
-approximation error is Monte Carlo.  Both paths sum their exponentials with
-one in-place log-sum-exp (``_logsumexp_rows``), and scipy is imported only
-by the quadrature levels whose fading has a mean (the Bessel factor).
+witness entry, y given the input magnitudes is CN(mu x, v) with v fixed by
+the magnitudes, so neither density reads a phase (Lapidoth & Moser, IEEE
+Trans. IT 49(10), 2003): such a quadrature level draws magnitudes only
+(``_quadrature_terms``), up to ``_BLOCK_ELEMENTS`` rows at a time, so any
+sample count up to 128 000 is one draw and a few large numpy calls.  Both of
+its densities are deterministic, with the phases averaged exactly (a Bessel
+factor when the fading has a mean): composite Gauss-Legendre over the
+interferer's log-magnitude, and over the target's log-magnitude an exact
+average through the exponential integral when the fading has zero mean
+(Gauss-Legendre with a mean, and on the few rows the closed form does not
+cover).  Other levels, and every level when the caller supplies its own
+magnitude law, draw complex inputs and outputs through ``_output_law`` and
+use a nested plug-in (``_nested_terms``): each density is an equal-weight
+mixture of output laws over fresh inner draws of the inputs it does not
+condition on, so the only approximation error is Monte Carlo; a chunk takes
+as many outer rows as fill the element budget with inner draws.  Both paths
+sum their exponentials with one in-place log-sum-exp (``_logsumexp_rows``),
+and scipy is imported only by the quadrature levels whose fading has a mean
+(the Bessel factor).
 
 A sweep evaluates the bounds through :func:`fadenet.bounds.evaluate` on one
-budget-free plan of the network, and adds the summed per-level estimates at
-each feasible point.
+budget-free plan of the network, makes each level's law once from the
+plan's levels, and adds the summed per-level estimates at each feasible
+point; each estimate is the one :func:`estimate_pair_mi` returns for the
+same level, budget and seed.
 
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
 so the worker count never changes the output bytes.  The sweep's workers are
 threads: a second one pays wherever a level is long numpy calls, on
-nested-path levels and on quadrature levels with many outer samples, and
-ties on quadrature sweeps with a few thousand.
+nested-path levels and on quadrature levels with tens of thousands of outer
+samples, and loses to one on quadrature sweeps with a few thousand.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import PowerAllocation, _chain_level, evaluate, plan
+from .bounds import PowerAllocation, _chain_level, _ChainLevel, evaluate, plan
 from .fading import FadingModel, _standard_complex
 from .powerchain import PowerChain, validate_chain
 from .topology import _is_int
@@ -102,12 +110,20 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _log_uniform_magnitudes(
+    rng: np.random.Generator, x_min: float, x_max: float, shape
+) -> np.ndarray:
+    """The magnitudes of one chain level's inputs: log|x| uniform on
+    [log x_min, log x_max], so log|x|^2 is uniform too."""
+    return np.exp(rng.uniform(math.log(x_min), math.log(x_max), size=shape))
+
+
 def _level_inputs(
     rng: np.random.Generator, x_min: float, x_max: float, shape
 ) -> np.ndarray:
-    """The input law of one chain level: log|x| uniform on
-    [log x_min, log x_max] (so log|x|^2 is uniform too) and a uniform phase."""
-    mags = np.exp(rng.uniform(math.log(x_min), math.log(x_max), size=shape))
+    """The input law of one chain level: ``_log_uniform_magnitudes`` times a
+    uniform phase, drawn after the magnitudes."""
+    mags = _log_uniform_magnitudes(rng, x_min, x_max, shape)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=shape)
     return mags * np.exp(1j * phases)
 
@@ -213,6 +229,10 @@ def _magnitude_quadrature(
     uniform.  With ``xi_window`` there is one interferer: g ~ CN(0, sigma2)
     independent of h, log|xi| uniform on the window; without it g xi = 0.
 
+    Both densities read magnitudes only: ``log_conditional(d2, r2)`` takes
+    d2 = |y - mu x|^2 and r2 = |x|^2, and ``log_marginal(a2)`` takes
+    a2 = |y|^2, each a real array with one entry per outer row.
+
     Given |x| = r and |xi| = rho the phase averages are closed form,
         f(y | r, rho) = exp(-(|y|^2 + |mu|^2 r^2) / v) I0(z) / (pi v),
     with v = 1 + eps2 r^2 + sigma2 rho^2 and z = 2 |mu| r |y| / v.  The
@@ -223,7 +243,7 @@ def _magnitude_quadrature(
 
     With mu = 0 the average over s = log r is exact.  Given the interferer
     node, c = 1 + sigma2 rho^2 (c = 1 with no interferer), and with
-    a^2 = |y|^2, W = log(x_hi / x_lo) and v_lo, v_hi the ends of v's range,
+    W = log(x_hi / x_lo) and v_lo, v_hi the ends of v's range,
         E_s[exp(-a^2 / v) / (pi v)]
             = [e^-p G(q)]_{v_lo}^{v_hi} / (2 pi W c),
     where p = a^2 / v, q = a^2 (1/c - 1/v) and G(q) = e^-q Ei(q); the bracket
@@ -237,14 +257,12 @@ def _magnitude_quadrature(
     With mu != 0 the average over s is composite Gauss-Legendre too, in a
     tensor product with the s' rule.  The s panels are at most 0.25 wide,
     and narrower with a strong mean, whose peak in s is about
-    sqrt(eps2) / |mu| wide.
+    sqrt(eps2) / |mu| wide.  The tensor rule is built on first use, so a
+    zero-mean level whose rows all take the closed form never builds it.
     """
-    max_width = _GL_PANEL_WIDTH
     if mu != 0:
         from scipy.special import i0e
 
-        max_width = min(max_width, _GL_RICIAN_PANELS * math.sqrt(eps2) / abs(mu))
-    s, log_w = _gl_rule(math.log(x_lo), math.log(x_hi), max_width)
     if xi_window is None:
         b, log_wb = np.zeros(1), np.zeros(1)
     else:
@@ -254,13 +272,6 @@ def _magnitude_quadrature(
             math.log(xi_lo), math.log(xi_hi), _GL_PANEL_WIDTH * (a_min + b_max) / b_max
         )
         b = sigma2 * np.exp(2.0 * s_b)
-    # nodes flattened target-major, interferer-minor
-    r = np.exp(s)
-    v = ((1.0 + eps2 * r * r)[:, None] + b).ravel()
-    base = (log_w[:, None] + log_wb).ravel() - np.log(math.pi * v)
-    mu_r = np.repeat(abs(mu) * r, len(b))
-    two_mu_r = 2.0 * mu_r
-    rows = max(1, _BLOCK_ELEMENTS // len(v))
     # rows per block of a rule over the interferer nodes alone: an eighth of
     # the element budget, since the closed form below keeps up to about ten
     # arrays of that shape alive at once.  On perfbench's mc_interf sweep
@@ -268,28 +279,42 @@ def _magnitude_quadrature(
     # eighth 0.015 s and 65.1 MiB, and a quarter 0.016 s and 65.1 MiB
     b_rows = max(1, _BLOCK_ELEMENTS // (8 * len(b)))
 
-    def log_conditional(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = np.empty(len(y))
-        for i in range(0, len(y), b_rows):
-            x_rows = x[i : i + b_rows]
-            var = (1.0 + eps2 * np.abs(x_rows) ** 2)[:, None] + b
-            dist = np.abs(y[i : i + b_rows] - mu * x_rows)[:, None] ** 2
-            comp = log_wb - np.log(math.pi * var) - dist / var
+    def log_conditional(d2: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        out = np.empty(len(d2))
+        for i in range(0, len(d2), b_rows):
+            var = (1.0 + eps2 * r2[i : i + b_rows])[:, None] + b
+            comp = log_wb - np.log(math.pi * var) - d2[i : i + b_rows, None] / var
             # a one-node rule (no interferer) needs no logsumexp
             out[i : i + b_rows] = comp[:, 0] if len(b) == 1 else _logsumexp_rows(comp)
         return out
 
-    def gl_marginal(y: np.ndarray) -> np.ndarray:
-        out = np.empty(len(y))
+    @functools.cache
+    def tensor_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        # nodes flattened target-major, interferer-minor: each node's output
+        # variance, log-weight less log(pi v), and |mu| r; and the rows per
+        # block that fill the element budget
+        max_width = _GL_PANEL_WIDTH
+        if mu != 0:
+            max_width = min(max_width, _GL_RICIAN_PANELS * math.sqrt(eps2) / abs(mu))
+        s, log_w = _gl_rule(math.log(x_lo), math.log(x_hi), max_width)
+        r = np.exp(s)
+        v = ((1.0 + eps2 * r * r)[:, None] + b).ravel()
+        base = (log_w[:, None] + log_wb).ravel() - np.log(math.pi * v)
+        mu_r = np.repeat(abs(mu) * r, len(b))
+        return v, base, mu_r, max(1, _BLOCK_ELEMENTS // len(v))
+
+    def gl_marginal(a2: np.ndarray) -> np.ndarray:
+        v, base, mu_r, rows = tensor_rule()
+        out = np.empty(len(a2))
         # scratch for the exponents (and the Bessel arguments), made per call
         # so that sweep threads never share one, and reused by every block:
         # on a 20 000-sample Rician full:1,1 sweep with two workers, a plain
         # expression raised peak RSS by about 5 MiB and fresh arrays freed
         # after each block by about 1 MiB, and neither ran faster
-        block = np.empty((min(rows, len(y)), len(v)))
+        block = np.empty((min(rows, len(a2)), len(v)))
         z_block = None if mu == 0 else np.empty_like(block)
-        for i in range(0, len(y), rows):
-            a = np.abs(y[i : i + rows])[:, None]
+        for i in range(0, len(a2), rows):
+            a = np.sqrt(a2[i : i + rows])[:, None]
             e = block[: len(a)]
             # -(a^2 + mu_r^2) / v + log I0(z) = -(a - mu_r)^2 / v + log i0e(z),
             # with z = 2 mu_r a / v, which avoids cancelling two large terms;
@@ -300,7 +325,8 @@ def _magnitude_quadrature(
             np.subtract(base, e, out=e)
             if mu != 0:
                 z = z_block[: len(a)]
-                np.multiply(two_mu_r, a, out=z)
+                np.multiply(mu_r, a, out=z)
+                z *= 2.0
                 np.divide(z, v, out=z)
                 i0e(z, out=z)
                 np.log(z, out=z)
@@ -320,23 +346,23 @@ def _magnitude_quadrature(
     delta_unit = (g_hi - g_lo) / (v_lo * v_hi)
     log_scale = log_wb - np.log(2.0 * math.pi * math.log(x_hi / x_lo) * c)
 
-    def log_marginal(y: np.ndarray) -> np.ndarray:
-        out = np.empty(len(y))
-        for i in range(0, len(y), b_rows):
-            y_rows = y[i : i + b_rows]
-            rows_out = out[i : i + len(y_rows)]
-            a2 = (np.abs(y_rows) ** 2)[:, None]
-            q_lo, delta = a2 * q_lo_unit, a2 * delta_unit
+    def log_marginal(a2: np.ndarray) -> np.ndarray:
+        out = np.empty(len(a2))
+        for i in range(0, len(a2), b_rows):
+            a2_rows = a2[i : i + b_rows]
+            rows_out = out[i : i + len(a2_rows)]
+            a2_col = a2_rows[:, None]
+            q_lo, delta = a2_col * q_lo_unit, a2_col * delta_unit
             closed = ((q_lo >= _EI_SERIES_MIN) & (delta >= _EI_MIN_DELTA)).all(axis=1)
             if not closed.all():
-                rows_out[~closed] = gl_marginal(y_rows[~closed])
-                q_lo, delta, a2 = q_lo[closed], delta[closed], a2[closed]
-            q_hi = a2 * q_hi_unit
+                rows_out[~closed] = gl_marginal(a2_rows[~closed])
+                q_lo, delta, a2_col = q_lo[closed], delta[closed], a2_col[closed]
+            q_hi = a2_col * q_hi_unit
             log_s_hi = _log_scaled_ei(q_hi)
             # log(e^-p G(q)) at v_hi less the same at v_lo: positive, and at
             # least about 1e-3
             log_ratio = delta - np.log1p(delta / q_lo) + log_s_hi - _log_scaled_ei(q_lo)
-            terms = log_scale - a2 / v_hi - np.log(q_hi) + log_s_hi
+            terms = log_scale - a2_col / v_hi - np.log(q_hi) + log_s_hi
             terms += np.log(-np.expm1(-log_ratio))
             rows_out[closed] = terms[:, 0] if len(b) == 1 else _logsumexp_rows(terms)
         return out
@@ -353,74 +379,89 @@ def _output_law(mu: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> tuple[np.nd
     return mean, var
 
 
-def estimate_pair_mi(
-    model: FadingModel,
-    chain: PowerChain,
-    alloc: PowerAllocation,
-    nu: int,
-    n_outer: int = 20000,
-    m_inner: int = 2000,
-    *,
-    seed,
-    magnitude_sampler: Callable[[np.random.Generator, tuple], np.ndarray] | None = None,
-) -> MiEstimate:
-    """Monte Carlo estimate of I(X(t_nu); Y(r_nu)) in nats.
+class _LevelLaw(NamedTuple):
+    """Budget-free law of one chain level's witness output: the level, the
+    weaker levels its witness hears, the witness entry's variance given
+    their entries, and the means and covariance of the level's entries (the
+    witness entry first, then the interferer entries)."""
 
-    The witness receiver sees the level-nu transmitter plus whichever weaker
-    chain members it can hear; stronger members are structurally silent at it
-    (guaranteed by ``validate_chain``).  The level's witness law, its
-    interferers included, comes from the same per-level helper as the
-    analytic bounds, with the fading integrated out in closed form.  Outer
-    samples (x_i, y_i) are drawn through that law, and the standard error
-    comes from the outer-sample variance alone.
+    nu: int
+    interferers: tuple[int, ...]
+    eps2: float
+    mu: np.ndarray
+    sigma: np.ndarray
 
-    On an interferer-free level log f(y|x) is exact, and log f(y) averages
-    log|x| out deterministically with the phase averaged in closed form.
-    With one hearable interferer whose entry has zero mean and no
-    correlation with the witness entry, log f(y|x) is a Gauss-Legendre rule
-    over the interferer's log-magnitude, and log f(y) the same rule around
-    the average over log|x|.  That average is exact (an exponential-integral
-    form) when the witness entry has zero mean, and a Gauss-Legendre rule
-    when it has a mean or the output falls where the exact form loses
-    precision.  Neither path makes inner draws, so ``m_inner`` is not used.
-    On any other level log f(y|x) averages the output law over ``m_inner``
-    fresh draws of the interferer inputs, and log f(y) over ``m_inner``
-    fresh draws of all the level's inputs.
+    @property
+    def gaussian_given_magnitudes(self) -> bool:
+        # no interferer heard, or one zero-mean interferer independent of
+        # the witness entry
+        return len(self.interferers) <= 1 and not self.mu[1:].any() and not self.sigma[0, 1:].any()
 
-    ``magnitude_sampler(rng, shape)``, when given, replaces the level-nu
-    magnitude law in the channel input and the marginal, and puts the level
-    on the nested path whatever its interferers (with none, the conditional
-    is its one exact component); phases stay uniform.  Meant for diagnostics
-    (constant or two-point magnitudes) where the estimate has a closed-form
-    or zero target, and as the quadrature's test oracle.
-    """
-    validate_chain(model.topo, chain)
-    kappa = len(chain)
-    if len(alloc.levels) != kappa:
-        raise ValueError("allocation level count and chain length differ")
-    if not (_is_int(nu) and 1 <= nu <= kappa):
-        raise ValueError(f"level nu={nu!r} out of range 1..{kappa}")
-    n_outer, m_inner = _check_samples(n_outer, m_inner)
+    def windows(self, alloc: PowerAllocation) -> tuple[tuple[float, float], list[tuple[float, float]]]:
+        """The level's own magnitude window under ``alloc``, and those of the
+        weaker levels its witness hears."""
+        return alloc.levels[self.nu - 1], [alloc.levels[eta - 1] for eta in self.interferers]
 
-    level = _chain_level(model, chain, nu)
-    d = len(level.interferers)
-    # the level's inputs w = (x, xi_1..xi_d) meet the witness entry first,
-    # then the interferer entries
+
+def _level_law(model: FadingModel, level: _ChainLevel, nu: int) -> _LevelLaw:
     entries = ((level.witness, level.transmitter),) + level.interferer_entries
-    mu = np.array([model.entry_mean(*e) for e in entries], dtype=complex)
-    sigma = model.submatrix(entries)
-    windows = [alloc.levels[eta - 1] for eta in level.interferers]
+    return _LevelLaw(
+        nu=nu,
+        interferers=level.interferers,
+        eps2=level.eps2,
+        mu=np.array([model.entry_mean(*e) for e in entries], dtype=complex),
+        sigma=model.submatrix(entries),
+    )
 
-    x_lo, x_hi = alloc.levels[nu - 1]
-    rng = np.random.default_rng(seed)
-    # y is Gaussian given the input magnitudes when no interferer is heard, or
-    # one zero-mean interferer independent of the witness entry; with none,
-    # the interferer variance is an empty trace and no window is passed
-    quadrature = None
-    if magnitude_sampler is None and d <= 1 and not mu[1:].any() and not sigma[0, 1:].any():
-        quadrature = _magnitude_quadrature(
-            mu[0], level.eps2, x_lo, x_hi, sigma[1:, 1:].trace().real, *windows
-        )
+
+def _quadrature_terms(
+    law: _LevelLaw, alloc: PowerAllocation, n_outer: int, rng: np.random.Generator
+) -> np.ndarray:
+    """log f(y|x) - log f(y) at ``n_outer`` outer rows of a level whose output
+    is Gaussian given the input magnitudes, from the magnitudes alone.
+
+    Given r = |x| and rho = |xi| (the one interferer, if heard) the output
+    is CN(mu x, v) with v = 1 + eps2 r^2 + sigma2 rho^2.  Turned by the phase
+    of mu x, which neither density reads, it is |mu| r + sqrt(v) z with z
+    standard complex; with mu = 0, |y|^2 is v times a unit exponential.
+    """
+    mu, eps2 = law.mu[0], law.eps2
+    sigma2 = law.sigma[1:, 1:].trace().real
+    (x_lo, x_hi), windows = law.windows(alloc)
+    rule = _magnitude_quadrature(mu, eps2, x_lo, x_hi, sigma2, *windows)
+    vals = np.empty(n_outer)
+    for done in range(0, n_outer, _BLOCK_ELEMENTS):
+        n = min(_BLOCK_ELEMENTS, n_outer - done)
+        r = _log_uniform_magnitudes(rng, x_lo, x_hi, (n,))
+        r2 = r * r
+        v = 1.0 + eps2 * r2
+        for lo, hi in windows:
+            rho = _log_uniform_magnitudes(rng, lo, hi, (n,))
+            v += sigma2 * rho * rho
+        if mu == 0:
+            d2 = a2 = v * rng.standard_exponential(n)
+        else:
+            noise = np.sqrt(v) * _standard_complex(rng, (n,))
+            d2 = np.abs(noise) ** 2
+            a2 = np.abs(abs(mu) * r + noise) ** 2
+        vals[done : done + n] = rule.log_conditional(d2, r2) - rule.log_marginal(a2)
+    return vals
+
+
+def _nested_terms(
+    law: _LevelLaw,
+    alloc: PowerAllocation,
+    n_outer: int,
+    m_inner: int,
+    rng: np.random.Generator,
+    magnitude_sampler: Callable[[np.random.Generator, tuple], np.ndarray] | None,
+) -> np.ndarray:
+    """log f(y|x) - log f(y) at ``n_outer`` outer rows, each density a
+    mixture of output laws over ``m_inner`` fresh inner draws of the inputs
+    it does not condition on (with no interferer, the conditional is its
+    one exact component)."""
+    mu, sigma = law.mu, law.sigma
+    (x_lo, x_hi), windows = law.windows(alloc)
 
     def draw_target(shape: tuple) -> np.ndarray:
         if magnitude_sampler is None:
@@ -442,27 +483,94 @@ def estimate_pair_mi(
         comp = -np.log(math.pi * var) - np.abs(y[:, None] - mean) ** 2 / var
         return _logsumexp_rows(comp) - math.log(x.shape[-1])
 
-    # outer rows per chunk: a chunk's inner draws fill the element budget on
-    # the nested path, and its rows alone on a quadrature level, whose
-    # densities then block their own work by their node counts
-    chunk = max(1, _BLOCK_ELEMENTS // m_inner) if quadrature is None else _BLOCK_ELEMENTS
+    # outer rows per chunk: a chunk's inner draws fill the element budget
+    chunk = max(1, _BLOCK_ELEMENTS // m_inner)
+    conditioned = m_inner if windows else 1
     vals = np.empty(n_outer)
     for done in range(0, n_outer, chunk):
         n = min(chunk, n_outer - done)
         x = draw_target((n,))
         mean, var = draw_output_law(x)
         y = mean + np.sqrt(var) * _standard_complex(rng, (n,))
-
-        if quadrature is None:
-            # with no interferer the conditional is one exact component
-            log_cond = mixture_logpdf(y, np.broadcast_to(x[:, None], (n, m_inner if d else 1)))
-            log_marg = mixture_logpdf(y, draw_target((n, m_inner)))
-        else:
-            log_cond, log_marg = quadrature.log_conditional(y, x), quadrature.log_marginal(y)
+        log_cond = mixture_logpdf(y, np.broadcast_to(x[:, None], (n, conditioned)))
+        log_marg = mixture_logpdf(y, draw_target((n, m_inner)))
         vals[done : done + n] = log_cond - log_marg
+    return vals
 
+
+def _estimate_level(
+    law: _LevelLaw,
+    alloc: PowerAllocation,
+    n_outer: int,
+    m_inner: int,
+    seed,
+    magnitude_sampler: Callable[[np.random.Generator, tuple], np.ndarray] | None = None,
+) -> MiEstimate:
+    """``estimate_pair_mi`` on checked arguments, with the level's law made
+    once per network: its quadrature when the output is Gaussian given the
+    input magnitudes and no ``magnitude_sampler`` is given, else the nested
+    plug-in."""
+    rng = np.random.default_rng(seed)
+    if magnitude_sampler is None and law.gaussian_given_magnitudes:
+        vals = _quadrature_terms(law, alloc, n_outer, rng)
+    else:
+        vals = _nested_terms(law, alloc, n_outer, m_inner, rng, magnitude_sampler)
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_outer))
     return MiEstimate(value=float(np.mean(vals)), stderr=stderr)
+
+
+def estimate_pair_mi(
+    model: FadingModel,
+    chain: PowerChain,
+    alloc: PowerAllocation,
+    nu: int,
+    n_outer: int = 20000,
+    m_inner: int = 2000,
+    *,
+    seed,
+    magnitude_sampler: Callable[[np.random.Generator, tuple], np.ndarray] | None = None,
+) -> MiEstimate:
+    """Monte Carlo estimate of I(X(t_nu); Y(r_nu)) in nats.
+
+    The witness receiver sees the level-nu transmitter plus whichever weaker
+    chain members it can hear; stronger members are structurally silent at it
+    (guaranteed by ``validate_chain``).  The level's witness law, its
+    interferers included, comes from the same per-level helper as the
+    analytic bounds, with the fading integrated out in closed form.  Outer
+    samples are drawn through that law, and the standard error comes from
+    the outer-sample variance alone.
+
+    On an interferer-free level log f(y|x) is exact, and log f(y) averages
+    log|x| out deterministically with the phase averaged in closed form.
+    With one hearable interferer whose entry has zero mean and no
+    correlation with the witness entry, log f(y|x) is a Gauss-Legendre rule
+    over the interferer's log-magnitude, and log f(y) the same rule around
+    the average over log|x|.  That average is exact (an exponential-integral
+    form) when the witness entry has zero mean, and a Gauss-Legendre rule
+    when it has a mean or the output falls where the exact form loses
+    precision.  On both, y given the input magnitudes is circularly
+    symmetric about mu x, so only magnitudes are drawn, and neither path
+    makes inner draws, so ``m_inner`` is not used.  On any other level
+    log f(y|x) averages the output law over ``m_inner`` fresh draws of the
+    interferer inputs, and log f(y) over ``m_inner`` fresh draws of all the
+    level's inputs.
+
+    ``magnitude_sampler(rng, shape)``, when given, replaces the level-nu
+    magnitude law in the channel input and the marginal, and puts the level
+    on the nested path whatever its interferers (with none, the conditional
+    is its one exact component); phases stay uniform.  Meant for diagnostics
+    (constant or two-point magnitudes) where the estimate has a closed-form
+    or zero target, and as the quadrature's test oracle.
+    """
+    validate_chain(model.topo, chain)
+    kappa = len(chain)
+    if len(alloc.levels) != kappa:
+        raise ValueError("allocation level count and chain length differ")
+    if not (_is_int(nu) and 1 <= nu <= kappa):
+        raise ValueError(f"level nu={nu!r} out of range 1..{kappa}")
+    n_outer, m_inner = _check_samples(n_outer, m_inner)
+    law = _level_law(model, _chain_level(model, chain, nu), nu)
+    return _estimate_level(law, alloc, n_outer, m_inner, seed, magnitude_sampler)
 
 
 @dataclass(frozen=True)
@@ -516,9 +624,12 @@ def snr_sweep(
     root by position, and records are assembled in grid order, so the result
     is byte-identical for any ``workers`` count.  The worker threads share
     one queue of (point, level) estimates in grid order; a second worker pays
-    on nested-path levels and on quadrature levels with many outer samples.
+    on nested-path levels and on quadrature levels with tens of thousands of
+    outer samples.
     Each point is :func:`fadenet.bounds.evaluate`'s report, plus the
-    per-level estimates when it is feasible; points below the allocation
+    per-level estimates when it is feasible: level nu at point i is
+    :func:`estimate_pair_mi` with ``seed=SeedSequence([seed, i, nu])``, from
+    a law made once per level of the plan.  Points below the allocation
     threshold come back infeasible, with the report's note, instead of
     failing the sweep.
     """
@@ -537,17 +648,13 @@ def snr_sweep(
     # one task per (point, level), in grid order
     tasks = [(i, nu) for i, r in enumerate(reports) if r.feasible for nu in range(1, r.kappa + 1)]
 
+    # each level's law once per network, as estimate_pair_mi makes it
+    laws = [_level_law(model, level, nu) for nu, level in enumerate(bounds_plan.levels, start=1)]
+
     def estimate(task: tuple[int, int]) -> MiEstimate:
         i, nu = task
-        return estimate_pair_mi(
-            model,
-            bounds_plan.chain,
-            reports[i].alloc,
-            nu,
-            n_outer,
-            m_inner,
-            seed=np.random.SeedSequence([root_seed, i, nu]),
-        )
+        seed = np.random.SeedSequence([root_seed, i, nu])
+        return _estimate_level(laws[nu - 1], reports[i].alloc, n_outer, m_inner, seed)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # the estimates come back in task order, so each feasible point takes

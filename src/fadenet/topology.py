@@ -136,15 +136,20 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
             wraps the chain: t is heard by {t, (t mod n)+1}.
             ``random(n_t, n_r, p)`` zeroes each pair independently with
             probability p and prunes the result.
-        seed: required for ``random``; ignored otherwise.
+        seed: required for ``random``; ignored otherwise, but when given it
+            must be an integer.
 
     Returns:
         The topology.  ``random`` may return a degenerate (empty) topology if
         pruning removes everything.
     """
     sizes = params[:2] if kind == "random" else params
-    if not all(not isinstance(p, (bool, np.bool_)) and float(p).is_integer() for p in sizes):
+    # an int, or a whole float as parse_generator_spec passes; _is_int turns
+    # away bools and strings, which float() would read as numbers
+    if not all(_is_int(p) or (isinstance(p, float) and p.is_integer()) for p in sizes):
         raise ValueError(f"{kind} topology sizes must be whole numbers, got {list(sizes)}")
+    if seed is not None and not _is_int(seed):
+        raise ValueError(f"seed must be an integer, not {seed!r}")
     ints = [int(p) for p in sizes]
     if kind == "full":
         n_t, n_r = _two(kind, ints)
@@ -175,7 +180,10 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
         if len(params) != 3:
             raise ValueError("random topology takes (n_t, n_r, p)")
         n_t, n_r = ints
-        p = float(params[2])
+        p = params[2]
+        if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, float, np.integer, np.floating)):
+            raise ValueError(f"zero probability must be a number, not {p!r}")
+        p = float(p)
         if n_t < 1 or n_r < 1:
             raise ValueError("random topology needs at least one transmitter and receiver")
         if not 0.0 <= p <= 1.0:

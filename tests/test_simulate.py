@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.special import expi, i0e, logsumexp
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from fadenet import cli, simulate
-from fadenet.bounds import allocation, scalar_mi_lower_bound
+from fadenet.bounds import _chain_level, allocation, scalar_mi_lower_bound
 from fadenet.fading import FadingModel, _standard_complex, log_h_squared_mean
 from fadenet.powerchain import PowerChain, longest_chain
 from fadenet.simulate import (
@@ -486,13 +486,15 @@ class TestInterfererQuadrature:
         assert len(rules) == 2
         rng = np.random.default_rng(7)
         for rule, (x_lo, x_hi) in zip(rules, alloc.levels):
-            x = simulate._level_inputs(rng, x_lo, x_hi, (400,))
-            y = simulate._level_inputs(rng, 1e-4, 1e4 * x_hi, (400,))
-            rows = [slice(i, i + 1) for i in range(len(y))]
-            cond = np.concatenate([rule.log_conditional(y[i], x[i]) for i in rows])
-            marg = np.concatenate([rule.log_marginal(y[i]) for i in rows])
-            assert np.array_equal(cond, rule.log_conditional(y, x))
-            assert np.array_equal(marg, rule.log_marginal(y))
+            # the rules read squared magnitudes: |x|^2, |y - mu x|^2 and |y|^2
+            r2 = simulate._log_uniform_magnitudes(rng, x_lo, x_hi, (400,)) ** 2
+            d2 = simulate._log_uniform_magnitudes(rng, 1e-4, 1e4 * x_hi, (400,)) ** 2
+            a2 = simulate._log_uniform_magnitudes(rng, 1e-4, 1e4 * x_hi, (400,)) ** 2
+            rows = [slice(i, i + 1) for i in range(len(a2))]
+            cond = np.concatenate([rule.log_conditional(d2[i], r2[i]) for i in rows])
+            marg = np.concatenate([rule.log_marginal(a2[i]) for i in rows])
+            assert np.array_equal(cond, rule.log_conditional(d2, r2))
+            assert np.array_equal(marg, rule.log_marginal(a2))
 
     @pytest.mark.parametrize("mu", [0j, 1.0 + 0.5j])
     @pytest.mark.parametrize("sigma2", [1.0, 1e6])
@@ -522,8 +524,9 @@ class TestInterfererQuadrature:
             cond = quad(conditional, t_lo, t_hi, epsabs=0, epsrel=1e-12)[0] / (t_hi - t_lo)
             marg = dblquad(marginal, s_lo, s_hi, t_lo, t_hi, epsabs=0, epsrel=1e-10)[0]
             marg /= (s_hi - s_lo) * (t_hi - t_lo)
-            assert rule.log_conditional(y, x)[0] == pytest.approx(math.log(cond), abs=1e-8)
-            assert rule.log_marginal(y)[0] == pytest.approx(math.log(marg), abs=1e-8)
+            d2, r2 = np.abs(y - mu * x) ** 2, np.abs(x) ** 2
+            assert rule.log_conditional(d2, r2)[0] == pytest.approx(math.log(cond), abs=1e-8)
+            assert rule.log_marginal(np.abs(y) ** 2)[0] == pytest.approx(math.log(marg), abs=1e-8)
 
     @pytest.mark.parametrize("dependence", ["interferer_mean", "witness_interferer_covariance"])
     def test_dependent_interferer_stays_nested(self, dependence):
@@ -568,6 +571,73 @@ class TestInterfererQuadrature:
         few = estimate_pair_mi(model, chain, alloc, 1, 200, 100, seed=3)
         more = estimate_pair_mi(model, chain, alloc, 1, 200, 120, seed=3)
         assert math.isfinite(few.value) and few != more
+
+
+class TestMagnitudeDraw:
+    """A quadrature level draws magnitudes only; they must follow the law of
+    the complex draw through ``_output_law`` that the nested path makes."""
+
+    @pytest.mark.parametrize(
+        "network, fading, nu",
+        [
+            ("diagonal", {}, 1),
+            ("z_channel", {}, 1),
+            # Z-channel entries in sorted order: (1, 1), (1, 2), (2, 2).  At
+            # unit variances the interferer barely moves level 1's output,
+            # so a loud one checks that its magnitude enters the draw
+            ("z_channel", {"covariance": np.diag([1.0, 1e6, 1.0])}, 1),
+            ("z_channel", {"means": {(1, 1): 1.0 + 0.5j, (2, 2): -0.8j}}, 1),
+            ("z_channel", {"means": {(1, 1): 1.0 + 0.5j, (2, 2): -0.8j}}, 2),
+        ],
+        ids=["d0_iid", "d1_iid", "d1_loud_interferer", "d1_rician_witness", "d0_rician_witness"],
+    )
+    def test_matches_the_complex_output_law(self, network, fading, nu, monkeypatch):
+        topo = generate("diagonal", 2) if network == "diagonal" else _z_channel()
+        model = FadingModel.from_mapping(topo, **fading)
+        kappa, chain = longest_chain(topo)
+        alloc = allocation(1e12, kappa)
+        n = 20_000
+
+        # the magnitude draw, read off the arguments the rule's densities get
+        drawn = {}
+        real = simulate._magnitude_quadrature
+
+        def recording(*args):
+            rule = real(*args)
+
+            def log_conditional(d2, r2):
+                drawn.update(d2=d2.copy(), r2=r2.copy())
+                return rule.log_conditional(d2, r2)
+
+            def log_marginal(a2):
+                drawn.update(a2=a2.copy())
+                return rule.log_marginal(a2)
+
+            return simulate._MagnitudeQuadrature(log_conditional, log_marginal)
+
+        monkeypatch.setattr(simulate, "_magnitude_quadrature", recording)
+        estimate_pair_mi(model, chain, alloc, nu, n, 100, seed=31)
+        assert set(drawn) == {"d2", "r2", "a2"}
+
+        # the complex draw: inputs with their phases, through _output_law
+        law = simulate._level_law(model, _chain_level(model, chain, nu), nu)
+        d = 1 if network == "z_channel" and nu == 1 else 0
+        assert law.gaussian_given_magnitudes and len(law.interferers) == d
+        rng = np.random.default_rng(32)
+        x = simulate._level_inputs(rng, *alloc.levels[nu - 1], (n,))
+        xi = [simulate._level_inputs(rng, *alloc.levels[eta - 1], (n, 1)) for eta in law.interferers]
+        mean, var = simulate._output_law(law.mu, law.sigma, np.concatenate([x[:, None]] + xi, axis=-1))
+        y = mean + np.sqrt(var) * _standard_complex(rng, (n,))
+        reference = {
+            "r2": np.abs(x) ** 2,
+            "a2": np.abs(y) ** 2,
+            "d2": np.abs(y - law.mu[0] * x) ** 2,
+        }
+        # the three, and one ratio that ties the output to the input
+        drawn["a2/r2"] = drawn["a2"] / drawn["r2"]
+        reference["a2/r2"] = reference["a2"] / reference["r2"]
+        for name, values in reference.items():
+            assert ks_2samp(drawn[name], values).pvalue > 1e-3, name
 
 
 def _gl_average(lo: float, hi: float, width: float, nodes: int):
@@ -636,8 +706,7 @@ class TestClosedFormMarginal:
             v_lo += sigma2 * xi_window[0] ** 2
             v_hi += sigma2 * xi_window[1] ** 2
         a2 = np.geomspace(1e-12 * v_lo, 30.0 * v_hi, 25)
-        y = np.sqrt(a2) * np.exp(1j * np.linspace(0.0, 6.0, len(a2)))
-        got = rule.log_marginal(y)
+        got = rule.log_marginal(a2)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(
             got, _fine_log_marginal(a2, x_lo, x_hi, sigma2, xi_window), rtol=0, atol=1e-11
@@ -722,14 +791,14 @@ class TestSnrSweep:
         grid = [1e8, 1e12, 1e16]
         whole = snr_sweep(pair_network, grid, 500, 100, seed=3)
         chunks = []
-        draw = simulate._level_inputs
+        draw = simulate._log_uniform_magnitudes
 
         def recording(rng, x_min, x_max, shape):
             chunks.append(shape)
             return draw(rng, x_min, x_max, shape)
 
         monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 128)
-        monkeypatch.setattr(simulate, "_level_inputs", recording)
+        monkeypatch.setattr(simulate, "_log_uniform_magnitudes", recording)
         serial = snr_sweep(pair_network, grid, 500, 100, seed=3, workers=1)
         assert sorted(chunks) == sorted(([(128,)] * 3 + [(116,)]) * 6)
         pooled = snr_sweep(pair_network, grid, 500, 100, seed=3, workers=2)
@@ -741,17 +810,41 @@ class TestSnrSweep:
     def test_estimates_are_requested_in_grid_order(self, pair_network, monkeypatch):
         # point by point, level by level; the infeasible point requests none
         calls = []
-        real = simulate.estimate_pair_mi
+        real = simulate._estimate_level
 
-        def recording(model, chain, alloc, nu, *args, **kwargs):
-            calls.append((alloc.levels[0], nu))
-            return real(model, chain, alloc, nu, *args, **kwargs)
+        def recording(law, alloc, *args, **kwargs):
+            calls.append((alloc.levels[0], law.nu))
+            return real(law, alloc, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "estimate_pair_mi", recording)
+        monkeypatch.setattr(simulate, "_estimate_level", recording)
         records = snr_sweep(pair_network, [1e5, 1e8, 1e10], 200, 100, seed=5)
         assert [r.feasible for r in records] == [False, True, True]
         windows = [allocation(e, 2).levels[0] for e in (1e8, 1e10)]
         assert calls == [(windows[0], 1), (windows[0], 2), (windows[1], 1), (windows[1], 2)]
+
+    @pytest.mark.parametrize("network", ["diagonal", "z_channel"])
+    def test_records_sum_the_public_per_level_estimates(self, network):
+        # the sweep estimates each level from the plan's per-level law; its
+        # sums must be those of estimate_pair_mi's estimates, bit for bit,
+        # each level seeded by its grid position and level
+        topo = generate("diagonal", 2) if network == "diagonal" else _z_channel()
+        model = FadingModel.iid_rayleigh(topo)
+        kappa, chain = longest_chain(topo)
+        grid = [1e5, 1e8, 1e12]
+        records = snr_sweep(model, grid, 300, 100, seed=9, workers=2)
+        assert [r.feasible for r in records] == [False, True, True]
+        for i, (snr, rec) in enumerate(zip(grid, records)):
+            if not rec.feasible:
+                continue
+            alloc = allocation(snr, kappa)
+            ests = [
+                estimate_pair_mi(
+                    model, chain, alloc, nu, 300, 100, seed=np.random.SeedSequence([9, i, nu])
+                )
+                for nu in range(1, kappa + 1)
+            ]
+            assert rec.mc_estimate == sum(est.value for est in ests)
+            assert rec.mc_stderr == math.sqrt(sum(est.stderr**2 for est in ests))
 
     @pytest.mark.parametrize("name, value", [
         ("seed", 1.5), ("seed", "1"), ("seed", True),

@@ -162,6 +162,24 @@ def test_generator_parameter_validation():
     assert generate("full", 2.0, 3) == generate("full", 2, 3)
 
 
+def test_string_size_is_rejected():
+    # float("2") would read it as 2 and build a 2x2 topology
+    with pytest.raises(ValueError, match="whole numbers"):
+        generate("diagonal", "2")
+
+
+def test_bool_zero_probability_is_rejected():
+    # float(True) would read it as p = 1
+    with pytest.raises(ValueError, match="zero probability"):
+        generate("random", 3, 3, True, seed=1)
+
+
+def test_bool_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        generate("random", 3, 3, 0.5, seed=True)
+    assert generate("random", 3, 3, 0.5, seed=np.int64(1)) == generate("random", 3, 3, 0.5, seed=1)
+
+
 def test_parse_generator_spec():
     assert parse_generator_spec("full:2,3") == generate("full", 2, 3)
     assert parse_generator_spec("diagonal:3") == generate("diagonal", 3)
