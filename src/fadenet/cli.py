@@ -109,7 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_source_flags(p_sweep)
     _add_grid_flags(p_sweep)
-    p_sweep.add_argument("--outer", type=int, default=20000, help="outer MC samples")
+    p_sweep.add_argument(
+        "--outer",
+        type=int,
+        default=20000,
+        help="outer samples per level: i.i.d. draws on nested-path levels, and "
+        "on quadrature levels the points of 16 randomly shifted copies of one "
+        "lattice rule, whose spread gives the stderr",
+    )
     p_sweep.add_argument(
         "--inner",
         type=int,
