@@ -241,23 +241,35 @@ class BoundReport:
         return self.alloc is not None
 
 
-@dataclass(frozen=True)
+# eq=False: numpy fields would make the generated == ambiguous
+@dataclass(frozen=True, eq=False)
 class _ChainLevel:
-    """Budget-free statistics of one chain level's witness entry.
+    """Budget-free law of one chain level's witness output, shared by the
+    bounds and the Monte Carlo estimator.
 
-    ``interferers`` are the weaker chain levels (1-based) the witness hears,
-    and ``interferer_entries`` their fading entries at the witness; no
-    stronger member reaches a valid chain's witness.  ``eps2`` is the witness
-    entry's variance given those entries.
+    ``interferers`` are the weaker chain levels (1-based) the witness hears;
+    no stronger member reaches a valid chain's witness.  ``mu`` and ``sigma``
+    are the means and covariance of the level's entries at the witness, the
+    witness entry first and then the interferers', read-only since sweep
+    threads share them.  ``eps2`` is the witness entry's variance given the
+    interferer entries, ``sigma_h`` its standard deviation and ``e_log_h2``
+    its E[log|H|^2].
     """
 
+    nu: int
     transmitter: int
     witness: int
+    interferers: tuple[int, ...]
+    mu: np.ndarray
+    sigma: np.ndarray
+    eps2: float
     sigma_h: float
     e_log_h2: float
-    eps2: float
-    interferers: tuple[int, ...]
-    interferer_entries: tuple[tuple[int, int], ...]
+
+    def windows(self, alloc: PowerAllocation) -> tuple[tuple[float, float], list[tuple[float, float]]]:
+        """The level's own magnitude window under ``alloc``, and those of the
+        weaker levels its witness hears."""
+        return alloc.levels[self.nu - 1], [alloc.levels[eta - 1] for eta in self.interferers]
 
 
 def _chain_level(model: FadingModel, chain: PowerChain, nu: int) -> _ChainLevel:
@@ -267,17 +279,23 @@ def _chain_level(model: FadingModel, chain: PowerChain, nu: int) -> _ChainLevel:
         for eta in range(nu + 1, len(chain) + 1)
         if (r, chain.transmitters[eta - 1]) not in model.topo.zeros
     )
-    entries = tuple((r, chain.transmitters[eta - 1]) for eta in interferers)
-    mean = model.entry_mean(r, t)
-    variance = model.entry_variance(r, t)
+    entries = [(r, t)] + [(r, chain.transmitters[eta - 1]) for eta in interferers]
+    idx = [model.entry_index(*entry) for entry in entries]
+    # take() copies like fancy indexing, at a third of np.ix_'s cost here
+    mu, sigma = model.means.take(idx), model.covariance.take(idx, 0).take(idx, 1)
+    mu.flags.writeable = sigma.flags.writeable = False
+    variance = float(sigma[0, 0].real)
     return _ChainLevel(
+        nu=nu,
         transmitter=t,
         witness=r,
-        sigma_h=math.sqrt(variance),
-        e_log_h2=log_h_squared_mean(mean, variance),
-        eps2=model.conditional_variance((r, t), entries),
         interferers=interferers,
-        interferer_entries=entries,
+        mu=mu,
+        sigma=sigma,
+        # conditioning on nothing leaves the variance, the same float
+        eps2=model.conditional_variance(entries[0], entries[1:]) if interferers else variance,
+        sigma_h=math.sqrt(variance),
+        e_log_h2=log_h_squared_mean(mu[0], variance),
     )
 
 
@@ -489,7 +507,8 @@ def _duality_phase(model: FadingModel, rx: list[int], tx: list[int], t_star: int
 @dataclass(frozen=True)
 class Plan:
     """Everything the bounds of one network need that does not depend on the
-    budget: the longest chain, each chain level's witness statistics, and
+    budget: the longest chain, each chain level's witness law (one
+    ``_ChainLevel`` per level, which a sweep's estimator reads too), and
     the converse's per-phase constants, cross-block MIs and log n_t!.
 
     Built once by :func:`plan`; :func:`evaluate` adds the budget-dependent

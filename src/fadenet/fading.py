@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -113,6 +114,8 @@ class FadingModel:
                 except np.linalg.LinAlgError as exc:
                     raise ValueError("covariance is not positive definite") from exc
         if self.ar1_rho is not None:
+            if not _is_number(self.ar1_rho):
+                raise ValueError(f"ar1_rho {self.ar1_rho!r} must be a real number")
             rho = float(self.ar1_rho)
             if not 0.0 <= rho < 1.0:
                 raise ValueError(f"ar1_rho {rho} outside [0, 1)")
@@ -130,8 +133,8 @@ class FadingModel:
     @classmethod
     def iid_rayleigh(cls, topo: Topology, variance: float = 1.0) -> "FadingModel":
         """Zero-mean IID entries of the given variance (CN(0, variance))."""
-        if variance <= 0:
-            raise ValueError("variance must be positive")
+        if not (_is_number(variance) and variance > 0):
+            raise ValueError(f"variance must be a positive real number, not {variance!r}")
         m = len(topo.nonzero_pairs())
         return cls(
             topo=topo,
@@ -374,15 +377,13 @@ def fading_model_from_dict(topo: Topology, doc: dict) -> FadingModel:
         except TypeError as exc:
             raise ValueError("covariance must be a list of rows of [re, im] cells") from exc
         cov = np.asarray(cells, dtype=np.complex128)
-    rho = doc.get("ar1_rho")
-    if rho is not None and not _is_number(rho):
-        raise ValueError(f"ar1_rho {rho!r} must be a number")
-    return FadingModel.from_mapping(topo, means, cov, rho)
+    return FadingModel.from_mapping(topo, means, cov, doc.get("ar1_rho"))
 
 
 def _is_number(value) -> bool:
-    """Whether a decoded JSON value is a number (not a bool or a string)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a value is a real number, Python's or numpy's: not a bool, a
+    string, bytes or a complex."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _complex_cell(cell) -> complex:

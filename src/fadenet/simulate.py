@@ -5,9 +5,9 @@ Chain level nu's input has a log-uniform magnitude on the level's window of
 the allocation and a uniform phase.  ``_log_uniform_quantile`` is the one
 place that magnitude law is written: ``_level_inputs`` draws it i.i.d. with
 the phase, and a quadrature level maps lattice points through it.  The
-witness and the weaker levels it hears come from the per-level helper the
-analytic bounds use (``fadenet.bounds._chain_level``), and ``_level_law``
-adds the means and covariance of the level's entries once per network.  No
+witness, the weaker levels it hears and the means and covariance of the
+level's entries come from the one per-level record the analytic bounds
+read (``fadenet.bounds._ChainLevel``, made by ``_chain_level``).  No
 receiver sees the fading, only its law; Gaussian fading integrates out in
 closed form, and given the level's inputs w = (x, xi_1..xi_d) the witness
 output is complex Gaussian (``_output_law``).  The estimate averages
@@ -43,8 +43,8 @@ log-sum-exp (``_logsumexp_rows``), and scipy is imported only by the
 quadrature levels whose fading has a mean (the Bessel factor).
 
 A sweep evaluates the bounds through :func:`fadenet.bounds.evaluate` on one
-budget-free plan of the network, makes each level's law once from the
-plan's levels, and adds the summed per-level estimates at each feasible
+budget-free plan of the network, estimates each level from the plan's own
+record of it, and adds the summed per-level estimates at each feasible
 point; each estimate is the one :func:`estimate_pair_mi` returns for the
 same level, budget and seed.
 
@@ -411,39 +411,11 @@ def _output_law(mu: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> tuple[np.nd
     return mean, var
 
 
-class _LevelLaw(NamedTuple):
-    """Budget-free law of one chain level's witness output: the level, the
-    weaker levels its witness hears, the witness entry's variance given
-    their entries, and the means and covariance of the level's entries (the
-    witness entry first, then the interferer entries)."""
-
-    nu: int
-    interferers: tuple[int, ...]
-    eps2: float
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def gaussian_given_magnitudes(self) -> bool:
-        # no interferer heard, or one zero-mean interferer independent of
-        # the witness entry
-        return len(self.interferers) <= 1 and not self.mu[1:].any() and not self.sigma[0, 1:].any()
-
-    def windows(self, alloc: PowerAllocation) -> tuple[tuple[float, float], list[tuple[float, float]]]:
-        """The level's own magnitude window under ``alloc``, and those of the
-        weaker levels its witness hears."""
-        return alloc.levels[self.nu - 1], [alloc.levels[eta - 1] for eta in self.interferers]
-
-
-def _level_law(model: FadingModel, level: _ChainLevel, nu: int) -> _LevelLaw:
-    entries = ((level.witness, level.transmitter),) + level.interferer_entries
-    return _LevelLaw(
-        nu=nu,
-        interferers=level.interferers,
-        eps2=level.eps2,
-        mu=np.array([model.entry_mean(*e) for e in entries], dtype=complex),
-        sigma=model.submatrix(entries),
-    )
+def _gaussian_given_magnitudes(level: _ChainLevel) -> bool:
+    """Whether the level's output is Gaussian given the input magnitudes:
+    no interferer heard, or one zero-mean interferer independent of the
+    witness entry."""
+    return len(level.interferers) <= 1 and not level.mu[1:].any() and not level.sigma[0, 1:].any()
 
 
 @functools.lru_cache(maxsize=8)
@@ -526,7 +498,7 @@ def _replicate_means(vals: np.ndarray) -> np.ndarray:
 
 
 def _quadrature_terms(
-    law: _LevelLaw, alloc: PowerAllocation, n_outer: int, rng: np.random.Generator
+    level: _ChainLevel, alloc: PowerAllocation, n_outer: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The ``_LATTICE_REPLICATES`` replicate means of log f(y|x) - log f(y)
     over ``n_outer`` outer rows in all, of a level whose output is Gaussian
@@ -542,9 +514,9 @@ def _quadrature_terms(
     times the memory of the rows' values) and evaluated in blocks of at
     most ``_BLOCK_ELEMENTS`` rows.
     """
-    mu, eps2 = law.mu[0], law.eps2
-    sigma2 = law.sigma[1:, 1:].trace().real
-    (x_lo, x_hi), windows = law.windows(alloc)
+    mu, eps2 = level.mu[0], level.eps2
+    sigma2 = level.sigma[1:, 1:].trace().real
+    (x_lo, x_hi), windows = level.windows(alloc)
     rule = _magnitude_quadrature(mu, eps2, x_lo, x_hi, sigma2, *windows)
     points = _shifted_lattice(rng, n_outer, 2 + len(windows) + int(mu != 0))
     vals = np.empty(n_outer)
@@ -567,7 +539,7 @@ def _quadrature_terms(
 
 
 def _nested_terms(
-    law: _LevelLaw,
+    level: _ChainLevel,
     alloc: PowerAllocation,
     n_outer: int,
     m_inner: int,
@@ -578,8 +550,8 @@ def _nested_terms(
     mixture of output laws over ``m_inner`` fresh inner draws of the inputs
     it does not condition on (with no interferer, the conditional is its
     one exact component)."""
-    mu, sigma = law.mu, law.sigma
-    (x_lo, x_hi), windows = law.windows(alloc)
+    mu, sigma = level.mu, level.sigma
+    (x_lo, x_hi), windows = level.windows(alloc)
 
     def draw_target(shape: tuple) -> np.ndarray:
         if magnitude_sampler is None:
@@ -617,24 +589,24 @@ def _nested_terms(
 
 
 def _estimate_level(
-    law: _LevelLaw,
+    level: _ChainLevel,
     alloc: PowerAllocation,
     n_outer: int,
     m_inner: int,
     seed,
     magnitude_sampler: Callable[[np.random.Generator, tuple], np.ndarray] | None = None,
 ) -> MiEstimate:
-    """``estimate_pair_mi`` on checked arguments, with the level's law made
-    once per network: its quadrature when the output is Gaussian given the
+    """``estimate_pair_mi`` on checked arguments, from the level's
+    budget-free record: its quadrature when the output is Gaussian given the
     input magnitudes and no ``magnitude_sampler`` is given, else the nested
     plug-in."""
     rng = np.random.default_rng(seed)
     # independent unbiased estimates: the replicate means of the lattice, or
     # the nested path's outer rows
-    if magnitude_sampler is None and law.gaussian_given_magnitudes:
-        samples = _quadrature_terms(law, alloc, n_outer, rng)
+    if magnitude_sampler is None and _gaussian_given_magnitudes(level):
+        samples = _quadrature_terms(level, alloc, n_outer, rng)
     else:
-        samples = _nested_terms(law, alloc, n_outer, m_inner, rng, magnitude_sampler)
+        samples = _nested_terms(level, alloc, n_outer, m_inner, rng, magnitude_sampler)
     stderr = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
     return MiEstimate(value=float(np.mean(samples)), stderr=stderr)
 
@@ -693,8 +665,8 @@ def estimate_pair_mi(
     if not (_is_int(nu) and 1 <= nu <= kappa):
         raise ValueError(f"level nu={nu!r} out of range 1..{kappa}")
     n_outer, m_inner = _check_samples(n_outer, m_inner)
-    law = _level_law(model, _chain_level(model, chain, nu), nu)
-    return _estimate_level(law, alloc, n_outer, m_inner, seed, magnitude_sampler)
+    level = _chain_level(model, chain, nu)
+    return _estimate_level(level, alloc, n_outer, m_inner, seed, magnitude_sampler)
 
 
 @dataclass(frozen=True)
@@ -753,7 +725,7 @@ def snr_sweep(
     Each point is :func:`fadenet.bounds.evaluate`'s report, plus the
     per-level estimates when it is feasible: level nu at point i is
     :func:`estimate_pair_mi` with ``seed=SeedSequence([seed, i, nu])``, from
-    a law made once per level of the plan.  Points below the allocation
+    the plan's record of level nu.  Points below the allocation
     threshold come back infeasible, with the report's note, instead of
     failing the sweep.
     """
@@ -772,13 +744,10 @@ def snr_sweep(
     # one task per (point, level), in grid order
     tasks = [(i, nu) for i, r in enumerate(reports) if r.feasible for nu in range(1, r.kappa + 1)]
 
-    # each level's law once per network, as estimate_pair_mi makes it
-    laws = [_level_law(model, level, nu) for nu, level in enumerate(bounds_plan.levels, start=1)]
-
     def estimate(task: tuple[int, int]) -> MiEstimate:
         i, nu = task
         seed = np.random.SeedSequence([root_seed, i, nu])
-        return _estimate_level(laws[nu - 1], reports[i].alloc, n_outer, m_inner, seed)
+        return _estimate_level(bounds_plan.levels[nu - 1], reports[i].alloc, n_outer, m_inner, seed)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # the estimates come back in task order, so each feasible point takes

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from fadenet import bounds
@@ -19,7 +21,7 @@ from fadenet.bounds import (
     scalar_mi_lower_bound,
     scheme_rate_lower_bound,
 )
-from fadenet.fading import FadingModel, block_mutual_information
+from fadenet.fading import FadingModel, block_mutual_information, log_h_squared_mean
 from fadenet.powerchain import longest_chain
 from fadenet.topology import Topology, generate, parse_generator_spec, prune
 from oracles import log_spread, separation_ratios, weaker_level_power
@@ -366,20 +368,6 @@ class TestDualityUpperBound:
             duality_upper_bound(model, 1e8)
 
 
-@pytest.fixture
-def z_channel():
-    # receiver 1 hears both transmitters, receiver 2 only the second;
-    # entries in sorted order: (1, 1), (1, 2), (2, 2).  Rician means and
-    # a correlated covariance reach eps2, the duality phases and the
-    # cross-block MI
-    topo = Topology(n_t=2, n_r=2, zeros=frozenset({(2, 1)}))
-    cov = np.array(
-        [[1.0, 0.3 + 0.1j, 0.2], [0.3 - 0.1j, 1.5, 0.1 + 0.2j], [0.2, 0.1 - 0.2j, 1.0]]
-    )
-    means = {(1, 1): 1.0 + 0.5j, (1, 2): 0.3 - 0.2j, (2, 2): -0.8j}
-    return FadingModel.from_mapping(topo, means=means, covariance=cov)
-
-
 def two_phase_converse(model, snr, cross):
     """The converse of a two-transmitter network whose receiver 1 hears
     transmitter 1 and receiver 2 only transmitter 2, from public per-block
@@ -404,8 +392,8 @@ class TestConverseEnvelope:
         )
         assert network.upper_bound(0.0) == constant
 
-    def test_defined_where_the_scheme_is_not(self, z_channel):
-        network = plan(z_channel)
+    def test_defined_where_the_scheme_is_not(self, rician_z_channel):
+        network = plan(rician_z_channel)
         assert not evaluate(network, 1e6).feasible
         for snr in (0.0, 1e6):
             assert math.isfinite(network.upper_bound(snr))
@@ -468,8 +456,8 @@ def test_zero_budget_has_no_scheme():
 
 class TestPlan:
     @pytest.mark.parametrize("snr", [1e8, 1e12, 1e16])
-    def test_evaluate_equals_the_public_bounds(self, z_channel, snr):
-        model = z_channel
+    def test_evaluate_equals_the_public_bounds(self, rician_z_channel, snr):
+        model = rician_z_channel
         _, chain = longest_chain(model.topo)
         report = evaluate(plan(model), snr)
         lower = scheme_rate_lower_bound(model, chain, snr)
@@ -480,13 +468,72 @@ class TestPlan:
         upper = two_phase_converse(model, snr, cross)
         assert report.upper_bound == pytest.approx(upper, rel=1e-12)
 
-    def test_evaluate_below_threshold_is_infeasible(self, z_channel):
-        report = evaluate(plan(z_channel), 1e6)
+    def test_evaluate_below_threshold_is_infeasible(self, rician_z_channel):
+        report = evaluate(plan(rician_z_channel), 1e6)
         assert not report.feasible
         assert (report.lower_bound, report.upper_bound, report.alloc) == (None, None, None)
         assert report.per_level_terms == ()
         assert report.loglog_term == pytest.approx(2 * math.log(math.log(1e6)), rel=1e-12)
         assert report.note == f"below feasibility threshold {min_valid_snr(2):.6g}"
+
+
+def _assert_plan_levels_read_the_model(model):
+    # each level's record holds the model's own statistics of its entries,
+    # the witness entry first, in read-only arrays
+    network = plan(model)
+    chain = network.chain
+    assert [level.nu for level in network.levels] == list(range(1, len(chain) + 1))
+    for level in network.levels:
+        nu, r = level.nu, level.witness
+        assert (level.transmitter, r) == (chain.transmitters[nu - 1], chain.witnesses[nu - 1])
+        heard = [
+            eta
+            for eta in range(nu + 1, len(chain) + 1)
+            if (r, chain.transmitters[eta - 1]) not in model.topo.zeros
+        ]
+        assert level.interferers == tuple(heard)
+        entries = [(r, level.transmitter)] + [(r, chain.transmitters[eta - 1]) for eta in heard]
+        idx = [model.entry_index(*entry) for entry in entries]
+        assert np.array_equal(level.mu, model.means[idx])
+        assert np.array_equal(level.sigma, model.submatrix(entries))
+        assert not (level.mu.flags.writeable or level.sigma.flags.writeable)
+        variance = model.entry_variance(*entries[0])
+        assert level.sigma_h == math.sqrt(variance)
+        assert level.e_log_h2 == log_h_squared_mean(model.entry_mean(*entries[0]), variance)
+        # bitwise the model's conditional variance, also where nothing is
+        # heard and the record takes the variance itself
+        assert level.eps2.hex() == model.conditional_variance(entries[0], entries[1:]).hex()
+
+
+def test_plan_levels_read_the_correlated_rician_model(rician_z_channel):
+    _assert_plan_levels_read_the_model(rician_z_channel)
+    # level 1's witness hears level 2 through a correlated entry
+    level_1, level_2 = plan(rician_z_channel).levels
+    assert level_1.interferers == (2,) and level_2.interferers == ()
+    assert level_1.eps2 < level_1.sigma[0, 0].real
+
+
+@st.composite
+def _correlated_models(draw):
+    n_t, n_r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = [(r, t) for r in range(1, n_r + 1) for t in range(1, n_t + 1)]
+    topo = prune(Topology(n_t=n_t, n_r=n_r, zeros=frozenset(draw(st.sets(st.sampled_from(cells))))))
+    assume(not topo.is_empty)
+    m = len(topo.nonzero_pairs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    # dense, or diagonal so that the levels' entries are independent
+    cov = g @ g.conj().T / m + 0.5 * np.eye(m)
+    if draw(st.booleans()):
+        cov = np.diag(cov.diagonal().real)
+    means = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * rng.integers(0, 2, m)
+    return FadingModel(topo, means, cov)
+
+
+@given(_correlated_models())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_plan_levels_read_the_model_on_random_topologies(model):
+    _assert_plan_levels_read_the_model(model)
 
 
 def _parse(spec):

@@ -78,6 +78,25 @@ def test_construction_rejects_bad_statistics():
         FadingModel.from_mapping(topo, ar1_rho=-0.1)
 
 
+@pytest.mark.parametrize("value", [False, True, "0.5", b"0.5", 0.5j, np.complex128(0.5)])
+def test_scalar_statistics_must_be_real_numbers(value):
+    # a bool, a string or bytes was once taken as its float, and a complex
+    # raised TypeError
+    topo = generate("full", 2, 1)
+    with pytest.raises(ValueError, match="ar1_rho"):
+        FadingModel(topo, np.zeros(2), np.eye(2), ar1_rho=value)
+    with pytest.raises(ValueError, match="variance"):
+        FadingModel.iid_rayleigh(topo, variance=value)
+
+
+@pytest.mark.parametrize("value", [0, 0.5, np.float32(0.5), np.float64(0.25), np.int64(0)])
+def test_scalar_statistics_take_python_and_numpy_reals(value):
+    topo = generate("full", 2, 1)
+    assert FadingModel(topo, np.zeros(2), np.eye(2), ar1_rho=value).ar1_rho == float(value)
+    variance = value + 1
+    assert FadingModel.iid_rayleigh(topo, variance=variance).entry_variance(1, 1) == float(variance)
+
+
 def test_rejections_inside_independent_blocks():
     topo = generate("full", 4, 1)
     not_pd = np.eye(4, dtype=complex)

@@ -10,7 +10,7 @@ from scipy.special import expi, i0e, logsumexp
 from scipy.stats import ks_2samp, kstest
 
 from fadenet import cli, simulate
-from fadenet.bounds import _chain_level, allocation, scalar_mi_lower_bound
+from fadenet.bounds import _chain_level, allocation, plan, scalar_mi_lower_bound
 from fadenet.fading import FadingModel, _standard_complex, log_h_squared_mean
 from fadenet.powerchain import PowerChain, longest_chain
 from fadenet.simulate import (
@@ -629,18 +629,18 @@ class TestMagnitudeDraw:
         assert set(drawn) == {"d2", "r2", "a2"}
 
         # the complex draw: inputs with their phases, through _output_law
-        law = simulate._level_law(model, _chain_level(model, chain, nu), nu)
+        level = _chain_level(model, chain, nu)
         d = 1 if network == "z_channel" and nu == 1 else 0
-        assert law.gaussian_given_magnitudes and len(law.interferers) == d
+        assert simulate._gaussian_given_magnitudes(level) and len(level.interferers) == d
         rng = np.random.default_rng(32)
         x = simulate._level_inputs(rng, *alloc.levels[nu - 1], (n,))
-        xi = [simulate._level_inputs(rng, *alloc.levels[eta - 1], (n, 1)) for eta in law.interferers]
-        mean, var = simulate._output_law(law.mu, law.sigma, np.concatenate([x[:, None]] + xi, axis=-1))
+        xi = [simulate._level_inputs(rng, *alloc.levels[eta - 1], (n, 1)) for eta in level.interferers]
+        mean, var = simulate._output_law(level.mu, level.sigma, np.concatenate([x[:, None]] + xi, axis=-1))
         y = mean + np.sqrt(var) * _standard_complex(rng, (n,))
         reference = {
             "r2": np.abs(x) ** 2,
             "a2": np.abs(y) ** 2,
-            "d2": np.abs(y - law.mu[0] * x) ** 2,
+            "d2": np.abs(y - level.mu[0] * x) ** 2,
         }
         # the three, and one ratio that ties the output to the input
         drawn["a2/r2"] = drawn["a2"] / drawn["r2"]
@@ -909,9 +909,9 @@ class TestSnrSweep:
         calls = []
         real = simulate._estimate_level
 
-        def recording(law, alloc, *args, **kwargs):
-            calls.append((alloc.levels[0], law.nu))
-            return real(law, alloc, *args, **kwargs)
+        def recording(level, alloc, *args, **kwargs):
+            calls.append((alloc.levels[0], level.nu))
+            return real(level, alloc, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_estimate_level", recording)
         records = snr_sweep(pair_network, [1e5, 1e8, 1e10], 200, 100, seed=5)
@@ -919,14 +919,22 @@ class TestSnrSweep:
         windows = [allocation(e, 2).levels[0] for e in (1e8, 1e10)]
         assert calls == [(windows[0], 1), (windows[0], 2), (windows[1], 1), (windows[1], 2)]
 
-    @pytest.mark.parametrize("network", ["diagonal", "z_channel"])
-    def test_records_sum_the_public_per_level_estimates(self, network):
-        # the sweep estimates each level from the plan's per-level law; its
-        # sums must be those of estimate_pair_mi's estimates, bit for bit,
-        # each level seeded by its grid position and level
-        topo = generate("diagonal", 2) if network == "diagonal" else _z_channel()
-        model = FadingModel.iid_rayleigh(topo)
-        kappa, chain = longest_chain(topo)
+    @pytest.mark.parametrize("network", ["diagonal", "z_channel", "rician_z_channel"])
+    def test_records_sum_the_public_per_level_estimates(self, network, rician_z_channel):
+        # the sweep estimates each level from the plan's per-level record;
+        # its sums must be those of estimate_pair_mi's estimates, bit for
+        # bit, each level seeded by its grid position and level
+        if network == "rician_z_channel":
+            model = rician_z_channel
+            # level 1 on the nested path (its interferer has a mean and is
+            # correlated with the witness entry), level 2 on the Rician
+            # quadrature
+            paths = [simulate._gaussian_given_magnitudes(level) for level in plan(model).levels]
+            assert paths == [False, True] and model.means[0] != 0
+        else:
+            topo = generate("diagonal", 2) if network == "diagonal" else _z_channel()
+            model = FadingModel.iid_rayleigh(topo)
+        kappa, chain = longest_chain(model.topo)
         grid = [1e5, 1e8, 1e12]
         records = snr_sweep(model, grid, 300, 100, seed=9, workers=2)
         assert [r.feasible for r in records] == [False, True, True]
