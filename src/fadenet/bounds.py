@@ -160,10 +160,12 @@ def scalar_mi_lower_bound(
     and of the additive noise.  As sigma_w -> 0 with sigma_h = 1 the last two
     corrections collapse to -1 nat.
     """
-    if not 0 < x_min < x_max:
-        raise ValueError("need 0 < x_min < x_max (degenerate window has no spread)")
-    if sigma_h <= 0 or sigma_w < 0:
-        raise ValueError("sigma_h must be positive and sigma_w non-negative")
+    if not 0 < x_min < x_max < math.inf:
+        raise ValueError("need 0 < x_min < x_max < inf (degenerate window has no spread)")
+    if not (0 < sigma_h < math.inf and 0 <= sigma_w < math.inf):
+        raise ValueError("sigma_h must be positive and sigma_w non-negative, both finite")
+    if not -math.inf < e_log_h2 < math.inf:
+        raise ValueError("e_log_h2 must be finite")
     spread = 2.0 * (math.log(x_max) - math.log(x_min))
     return (
         math.log(spread)
@@ -185,10 +187,10 @@ def interference_penalty(
     """
     if not (_is_int(nu) and 1 <= nu <= alloc.kappa):
         raise ValueError(f"level nu={nu!r} out of range 1..{alloc.kappa}")
-    if frob2 <= 0:
-        raise ValueError("frob2 must be positive")
-    if eps2 <= 0:
-        raise ValueError("eps2 must be positive")
+    if not 0 < frob2 < math.inf:
+        raise ValueError("frob2 must be positive and finite")
+    if not 0 < eps2 < math.inf:
+        raise ValueError("eps2 must be positive and finite")
     power = _weaker_level_powers(alloc, frob2)[nu - 1]
     return _penalty(power, alloc.levels[nu - 1][0], eps2)
 
@@ -368,74 +370,40 @@ def scheme_rate_lower_bound(model: FadingModel, chain: PowerChain, snr: float) -
 
 def alpha_penalty(alpha: float) -> float:
     """log Gamma(alpha) - alpha log alpha, the free part of the duality bound."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     return math.lgamma(alpha) - alpha * math.log(alpha)
 
 
-def duality_upper_bound(
-    model: FadingModel,
-    snr: float,
-    *,
-    t_star: int | None = None,
-    receivers: Sequence[int] | None = None,
-    transmitters: Sequence[int] | None = None,
-) -> float:
-    """Upper bound (nats) on the information one block can convey at budget ``snr``.
+def duality_upper_bound(model: FadingModel, snr: float) -> float:
+    """Upper bound (nats) on the information the whole network can convey at
+    budget ``snr``, by the duality method of Lapidoth & Moser (IEEE Trans.
+    IT 49(10), 2003).
 
-    Applies to a block with a dominant transmitter heard by every receiver in
-    it; the transmitted vector is assumed to peak on that transmitter.  The
+    Needs a dominant transmitter heard by every receiver; the smallest such
+    one is taken, and the transmitted vector is assumed to peak on it.  The
     bound is built from an output-distribution family whose tuning parameter
     is optimised in closed form; the supremum over the dominant magnitude is
     also closed form, attained where the two conditional-entropy floors
-    cross.
-
-    Defaults cover the model's whole topology; pass ``receivers``/
-    ``transmitters`` to restrict to a sub-block and ``t_star`` to pin the
-    dominant transmitter (otherwise the smallest fully heard one is chosen).
+    cross.  On a full network this is :func:`plan`'s one phase.
     """
     _check_budget(snr)
     topo = model.topo
     if not topo.is_pruned:
         raise ValueError("duality bound requires a pruned topology")
-    rx = _block_labels("receivers", receivers, topo.n_r)
-    tx = _block_labels("transmitters", transmitters, topo.n_t)
-    if not rx or not tx:
-        raise ValueError("block needs at least one receiver and transmitter")
-    for r in rx:
-        topo._check_receiver(r)
-    for t in tx:
-        topo._check_transmitter(t)
-    if t_star is None:
-        fully_heard = [t for t in tx if all((r, t) not in topo.zeros for r in rx)]
-        if not fully_heard:
-            raise ValueError("no transmitter in the block is heard by every receiver")
-        t_star = fully_heard[0]
-    else:
-        if not _is_int(t_star):
-            raise ValueError(f"t_star must be an integer, not {t_star!r}")
-        if t_star not in tx:
-            raise ValueError(f"t_star {t_star} is not in the block")
-        if any((r, t_star) in topo.zeros for r in rx):
-            raise ValueError(f"t_star {t_star} is not heard by every receiver in the block")
-
-    return _duality_phase(model, rx, tx, t_star).upper_bound(snr)
-
-
-def _block_labels(name: str, labels: Sequence[int] | None, n: int) -> list[int]:
-    """A block's sorted distinct labels as ints, all 1..n by default."""
-    if labels is None:
-        return list(range(1, n + 1))
-    labels = list(labels)
-    if not all(map(_is_int, labels)):
-        raise ValueError(f"{name} must hold integers, not {labels!r}")
-    return sorted(set(map(int, labels)))
+    every = (1 << topo.n_r) - 1
+    fully_heard = [t for t, mask in enumerate(topo.hearer_masks, start=1) if mask == every]
+    if not fully_heard:
+        raise ValueError("no transmitter is heard by every receiver")
+    rx, tx = list(range(1, topo.n_r + 1)), list(range(1, topo.n_t + 1))
+    return _duality_phase(model, rx, tx, fully_heard[0]).upper_bound(snr)
 
 
 @dataclass(frozen=True)
 class _Phase:
-    """:func:`duality_upper_bound` on one block, less its budget-dependent
-    alpha term: ``head`` is n_r log pi - log Gamma(n_r) + sup + 1."""
+    """The duality bound of one block (:func:`_duality_phase`), less its
+    budget-dependent alpha term: ``head`` is n_r log pi - log Gamma(n_r) +
+    sup + 1."""
 
     head: float
     log_frob2: float
@@ -468,6 +436,7 @@ def _digamma_int(n: int) -> float:
 
 
 def _duality_phase(model: FadingModel, rx: list[int], tx: list[int], t_star: int) -> _Phase:
+    """The duality bound on block rx x tx, led by t_star, which every r in rx hears."""
     n_r = len(rx)
     n_t = len(tx)
     block_entries = [(r, t) for r in rx for t in tx if (r, t) not in model.topo.zeros]
@@ -530,8 +499,9 @@ class Plan:
         """Converse upper envelope (nats) at budget ``snr``, for the identity
         ordering of the network, at every finite budget including E = 0.
 
-        Each phase of :func:`plan`'s decomposition is bounded by
-        :func:`duality_upper_bound`, the cross-phase coupling adds block
+        Each phase of :func:`plan`'s decomposition is bounded by the
+        duality bound of :func:`_duality_phase` on its block, led by its
+        chain member, the cross-phase coupling adds block
         mutual informations, and the receiver's freedom to re-sort the
         transmitters costs at most log n_t!.  The headline shape is
         kappa_star * log(1 + log(1 + E)) plus everything else folded into a
@@ -552,9 +522,9 @@ def plan(model: FadingModel) -> Plan:
     :func:`longest_chain` call.
 
     The converse decomposes along the identity ordering: phase nu is the
-    duality bound on the block of its receiver group against all
-    not-yet-decoded transmitters, and the cross-phase coupling of the fading
-    matrix is priced by block mutual informations.
+    duality bound of :func:`_duality_phase` on the block of its receiver
+    group against all not-yet-decoded transmitters, and the cross-phase
+    coupling of the fading matrix is priced by block mutual informations.
     """
     topo = model.topo
     if not topo.is_pruned:

@@ -185,10 +185,6 @@ class FadingModel:
         """E of the squared Frobenius norm of the fading matrix."""
         return float(np.sum(np.abs(self.means) ** 2) + np.trace(self.covariance).real)
 
-    def submatrix(self, entries: Sequence[tuple[int, int]]) -> np.ndarray:
-        idx = [self.entry_index(r, t) for r, t in entries]
-        return self.covariance[np.ix_(idx, idx)]
-
     def conditional_covariance(
         self,
         targets: Sequence[tuple[int, int]],

@@ -651,6 +651,10 @@ def estimate_pair_mi(
     the outer samples are i.i.d., and the standard error comes from their
     variance alone.
 
+    ``seed`` is a non-negative integer or a ``numpy.random.SeedSequence``
+    (a sweep passes ``SeedSequence([seed, i, nu])``); the same seed gives
+    the same estimate.
+
     ``magnitude_sampler(rng, shape)``, when given, replaces the level-nu
     magnitude law in the channel input and the marginal, and puts the level
     on the nested path whatever its interferers (with none, the conditional
@@ -664,6 +668,8 @@ def estimate_pair_mi(
         raise ValueError("allocation level count and chain length differ")
     if not (_is_int(nu) and 1 <= nu <= kappa):
         raise ValueError(f"level nu={nu!r} out of range 1..{kappa}")
+    if not (isinstance(seed, np.random.SeedSequence) or (_is_int(seed) and seed >= 0)):
+        raise ValueError(f"seed must be a non-negative integer or a SeedSequence, not {seed!r}")
     n_outer, m_inner = _check_samples(n_outer, m_inner)
     level = _chain_level(model, chain, nu)
     return _estimate_level(level, alloc, n_outer, m_inner, seed, magnitude_sampler)

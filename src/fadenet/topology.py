@@ -96,10 +96,6 @@ class Topology:
         if not (_is_int(t) and 1 <= t <= self.n_t):
             raise ValueError(f"transmitter index {t!r} is not one of the integers 1..{self.n_t}")
 
-    def _check_receiver(self, r: int) -> None:
-        if not (_is_int(r) and 1 <= r <= self.n_r):
-            raise ValueError(f"receiver index {r!r} is not one of the integers 1..{self.n_r}")
-
 
 def prune(topo: Topology) -> Topology:
     """Drop receivers that hear nothing and transmitters that nobody hears.

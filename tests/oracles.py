@@ -64,6 +64,12 @@ def dense_conditional_covariance(model: FadingModel, targets, given) -> np.ndarr
     return s_tt - s_tg @ np.linalg.solve(s_gg, s_tg.conj().T)
 
 
+def dense_covariance(model: FadingModel, entries) -> np.ndarray:
+    """The covariance of the given entries, read from the whole matrix."""
+    idx = [model.entry_index(r, t) for r, t in entries]
+    return model.covariance[np.ix_(idx, idx)]
+
+
 def dense_mutual_information(model: FadingModel, entries_a, entries_b) -> float:
     """log det of the two marginal covariances minus log det of the joint
     one, each over every entry of its group; the oracle for
@@ -71,7 +77,7 @@ def dense_mutual_information(model: FadingModel, entries_a, entries_b) -> float:
     a, b = list(entries_a), list(entries_b)
     if not a or not b:
         return 0.0
-    _, logdet_a = np.linalg.slogdet(model.submatrix(a))
-    _, logdet_b = np.linalg.slogdet(model.submatrix(b))
-    _, logdet_ab = np.linalg.slogdet(model.submatrix(a + b))
+    _, logdet_a = np.linalg.slogdet(dense_covariance(model, a))
+    _, logdet_b = np.linalg.slogdet(dense_covariance(model, b))
+    _, logdet_ab = np.linalg.slogdet(dense_covariance(model, a + b))
     return float(logdet_a + logdet_b - logdet_ab)

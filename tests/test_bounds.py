@@ -300,6 +300,27 @@ def test_alpha_penalty():
         alpha_penalty(0.0)
 
 
+_ALLOC_1E8_2 = allocation(1e8, 2)
+_NON_FINITE_ARGUMENTS = {
+    "interference_penalty frob2": lambda v: interference_penalty(1, _ALLOC_1E8_2, v, 1.0),
+    "interference_penalty eps2": lambda v: interference_penalty(1, _ALLOC_1E8_2, 4.0, v),
+    "scalar_mi_lower_bound x_min": lambda v: scalar_mi_lower_bound(v, 100, 1, 1, 0),
+    "scalar_mi_lower_bound x_max": lambda v: scalar_mi_lower_bound(10, v, 1, 1, 0),
+    "scalar_mi_lower_bound sigma_h": lambda v: scalar_mi_lower_bound(10, 100, v, 1, 0),
+    "scalar_mi_lower_bound sigma_w": lambda v: scalar_mi_lower_bound(10, 100, 1, v, 0),
+    "scalar_mi_lower_bound e_log_h2": lambda v: scalar_mi_lower_bound(10, 100, 1, 1, v),
+    "alpha_penalty": alpha_penalty,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argument", sorted(_NON_FINITE_ARGUMENTS))
+def test_bound_helpers_reject_non_finite_arguments(argument, value):
+    # each once returned nan or inf: NaN passes an "x <= 0" test
+    with pytest.raises(ValueError):
+        _NON_FINITE_ARGUMENTS[argument](value)
+
+
 class TestDualityUpperBound:
     def test_frozen_scalar_value(self):
         topo = generate("full", 1, 1)
@@ -337,29 +358,28 @@ class TestDualityUpperBound:
         model = FadingModel.iid_rayleigh(topo)
         with pytest.raises(ValueError, match="heard by every receiver"):
             duality_upper_bound(model, 1e8)
-        # but the receiver-1 block has one
-        value = duality_upper_bound(model, 1e8, t_star=1, receivers=[1], transmitters=[1, 2])
+        # but the receiver-1 block, plan's first phase, has one
+        value = bounds._duality_phase(model, [1], [1, 2], 1).upper_bound(1e8)
         assert math.isfinite(value)
-        with pytest.raises(ValueError):
-            duality_upper_bound(model, 1e8, t_star=1, receivers=[1, 2])
 
-    @pytest.mark.parametrize("label", [True, 1.0, "1"])
-    @pytest.mark.parametrize("name", ["t_star", "receivers", "transmitters"])
-    def test_labels_must_be_integers(self, name, label):
-        # a list holds the label beside an integer it equals (True == 1.0 == 1)
-        model = FadingModel.iid_rayleigh(generate("full", 2, 2))
-        kwargs = {"t_star": 1, "receivers": [1, 2], "transmitters": [1, 2]}
-        kwargs[name] = label if name == "t_star" else [1, label, 2]
-        with pytest.raises(ValueError, match=name):
-            duality_upper_bound(model, 1e8, **kwargs)
-
-    def test_numpy_integer_labels_are_accepted(self):
-        model = FadingModel.iid_rayleigh(generate("full", 2, 2))
-        plain = duality_upper_bound(model, 1e8, t_star=2, receivers=[1, 2], transmitters=[1, 2])
-        numpy = duality_upper_bound(
-            model, 1e8, t_star=np.int64(2), receivers=np.arange(1, 3), transmitters=[np.int32(1), 2]
-        )
-        assert numpy == plain
+    @pytest.mark.parametrize("snr", [0.0, 1e8, 1e300])
+    @pytest.mark.parametrize("rician", [False, True], ids=["iid", "rician"])
+    @pytest.mark.parametrize("spec", ["full:1,1", "full:2,2", "full:3,2", "full:2,4"])
+    def test_is_the_plan_of_a_full_network(self, spec, rician, snr):
+        # a full network's identity decomposition is one phase led by
+        # transmitter 1, with no cross-block MI, so the converse is this
+        # bound plus log n_t!
+        topo = generate(*_parse(spec))
+        if rician:
+            rng = np.random.default_rng(7)
+            m = topo.n_t * topo.n_r
+            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            means = {pair: complex(*rng.standard_normal(2)) for pair in topo.nonzero_pairs()}
+            model = FadingModel.from_mapping(topo, means=means, covariance=a @ a.conj().T / m + np.eye(m))
+        else:
+            model = FadingModel.iid_rayleigh(topo)
+        expected = duality_upper_bound(model, snr) + math.lgamma(topo.n_t + 1)
+        assert plan(model).upper_bound(snr) == pytest.approx(expected, rel=1e-12)
 
     def test_requires_pruned(self):
         unpruned = Topology(n_t=2, n_r=1, zeros=frozenset({(1, 2)}))
@@ -370,12 +390,12 @@ class TestDualityUpperBound:
 
 def two_phase_converse(model, snr, cross):
     """The converse of a two-transmitter network whose receiver 1 hears
-    transmitter 1 and receiver 2 only transmitter 2, from public per-block
-    pieces: the duality bound of each phase of the identity ordering, the
-    cross-block MI between them and log 2!."""
+    transmitter 1 and receiver 2 only transmitter 2, from its per-block
+    pieces on explicit blocks: the duality bound of each phase of the
+    identity ordering, the cross-block MI between them and log 2!."""
     return (
-        duality_upper_bound(model, snr, t_star=1, receivers=[1], transmitters=[1, 2])
-        + duality_upper_bound(model, snr, t_star=2, receivers=[2], transmitters=[2])
+        bounds._duality_phase(model, [1], [1, 2], 1).upper_bound(snr)
+        + bounds._duality_phase(model, [2], [2], 2).upper_bound(snr)
         + cross
         + math.log(2.0)
     )
@@ -495,7 +515,7 @@ def _assert_plan_levels_read_the_model(model):
         entries = [(r, level.transmitter)] + [(r, chain.transmitters[eta - 1]) for eta in heard]
         idx = [model.entry_index(*entry) for entry in entries]
         assert np.array_equal(level.mu, model.means[idx])
-        assert np.array_equal(level.sigma, model.submatrix(entries))
+        assert np.array_equal(level.sigma, model.covariance[np.ix_(idx, idx)])
         assert not (level.mu.flags.writeable or level.sigma.flags.writeable)
         variance = model.entry_variance(*entries[0])
         assert level.sigma_h == math.sqrt(variance)

@@ -118,8 +118,17 @@ class TestEstimatePairMi:
         _, model, chain = scalar_setup
         alloc = allocation(1e8, 1)
         plain = estimate_pair_mi(model, chain, alloc, 1, 200, 200, seed=0)
-        numpy = estimate_pair_mi(model, chain, alloc, np.int64(1), np.int32(200), np.int64(200), seed=0)
+        numpy = estimate_pair_mi(
+            model, chain, alloc, np.int64(1), np.int32(200), np.int64(200), seed=np.int64(0)
+        )
         assert numpy == plain
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "1", -1, np.random.default_rng(0)])
+    def test_seed_must_be_an_integer_or_seed_sequence(self, scalar_setup, seed):
+        # None once drew OS entropy, True ran as seed 1 and 1.5 raised TypeError
+        _, model, chain = scalar_setup
+        with pytest.raises(ValueError, match="seed"):
+            estimate_pair_mi(model, chain, allocation(1e8, 1), 1, 200, 200, seed=seed)
 
     def test_level_and_alloc_validation(self, scalar_setup):
         topo, model, chain = scalar_setup

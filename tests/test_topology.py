@@ -48,7 +48,6 @@ LABELLED = {
     "validate_chain transmitters": lambda a, b: validate_chain(Z_CHANNEL, PowerChain((a, b), (1, 2))),
     "validate_chain witnesses": lambda a, b: validate_chain(Z_CHANNEL, PowerChain((1, 2), (a, b))),
     "entry_mean": lambda a, b: FadingModel.iid_rayleigh(Z_CHANNEL).entry_mean(a, b),
-    "submatrix": lambda a, b: FadingModel.iid_rayleigh(Z_CHANNEL).submatrix([(a, b)]),
 }
 
 
