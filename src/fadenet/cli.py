@@ -15,6 +15,7 @@ including under --workers parallelism.  Exit codes: 0 success, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -24,9 +25,9 @@ from typing import Iterable, Sequence
 
 from .bounds import BoundReport, evaluate, plan
 from .fading import FadingModel, load_fading_model
-from .powerchain import SizeGuardError, decompose, longest_chain
+from .powerchain import SizeGuardError, _check_receivers, decompose, longest_chain
 from .simulate import _check_grid, fit_loglog_slope, snr_sweep
-from .topology import Topology, load_topology, parse_generator_spec, prune
+from .topology import Topology, _spec_receivers, load_topology, parse_generator_spec, prune
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -67,7 +68,11 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", help="write data here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of ``main``: parsing leaves it unchanged and returns a fresh
+    namespace, so no caller may add to it."""
     parser = argparse.ArgumentParser(
         prog="fadenet",
         description="High-SNR capacity analysis of non-coherent fading networks.",
@@ -139,11 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_topo(args: argparse.Namespace) -> Topology:
+def _load_topo(args: argparse.Namespace, exact_search: bool = True) -> Topology:
+    """The topology of --topo or --gen.  For a command that runs the exact
+    chain search, a --gen spec whose receiver count already exceeds the
+    search's guard is refused before its zero set is built."""
     if args.topo is not None:
         return load_topology(args.topo)
     if args.gen.partition(":")[0].strip() == "random" and args.seed is None:
         raise ValueError("random topologies need --seed")
+    if exact_search and (n_r := _spec_receivers(args.gen)) is not None:
+        _check_receivers(n_r)
     return parse_generator_spec(args.gen, seed=args.seed)
 
 
@@ -326,7 +336,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    topo = _load_topo(args)
+    topo = _load_topo(args, exact_search=False)
     try:
         perm = tuple(int(p) for p in args.perm.split(","))
     except ValueError as exc:
@@ -410,8 +420,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SizeGuardError as exc:

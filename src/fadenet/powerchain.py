@@ -32,6 +32,17 @@ class SizeGuardError(RuntimeError):
     """Raised when an exact algorithm would exceed its configured size guard."""
 
 
+# longest_chain's default guard on the receivers of its 2**n_r state space
+_MAX_RECEIVERS = 24
+
+
+def _check_receivers(n_r: int, max_receivers: int = _MAX_RECEIVERS) -> None:
+    """Raise SizeGuardError when an exact search over ``n_r`` receivers
+    would exceed the guard."""
+    if n_r > max_receivers:
+        raise SizeGuardError(f"{n_r} receivers exceeds the exact-search guard of {max_receivers}")
+
+
 @dataclass(frozen=True)
 class PowerChain:
     """An ordered chain of transmitters with one witness receiver per member.
@@ -89,7 +100,7 @@ def _fresh_receivers(topo: Topology, transmitters: Sequence[int]) -> list[int]:
     return fresh
 
 
-def longest_chain(topo: Topology, *, max_receivers: int = 24) -> tuple[int, PowerChain]:
+def longest_chain(topo: Topology, *, max_receivers: int = _MAX_RECEIVERS) -> tuple[int, PowerChain]:
     """Exact longest power chain by a decision search over receiver subsets.
 
     Whether a tuple can be extended depends only on the union of hearer sets
@@ -101,7 +112,9 @@ def longest_chain(topo: Topology, *, max_receivers: int = 24) -> tuple[int, Powe
     live transmitter that brings at least one of those receivers.  Asking
     whether a state reaches ``need`` more members is answered from the
     interval when it can be; otherwise its children are tried in transmitter
-    order, and a success raises ``lo`` to ``need`` while a failure lowers
+    order, each only while its uncovered receivers can still hold the
+    remaining ``need - 1`` members (so a child that ceiling refutes is never
+    memoised), and a success raises ``lo`` to ``need`` while a failure lowers
     ``hi`` to ``need - 1``.  kappa* is found by raising the target at the
     empty set one member at a time, and on chain-rich topologies the search
     touches a few states per receiver instead of 2**n.  Reconstruction
@@ -119,10 +132,7 @@ def longest_chain(topo: Topology, *, max_receivers: int = 24) -> tuple[int, Powe
     """
     if topo.is_empty:
         raise ValueError("longest_chain needs a non-empty topology")
-    if topo.n_r > max_receivers:
-        raise SizeGuardError(
-            f"{topo.n_r} receivers exceeds the exact-search guard of {max_receivers}"
-        )
+    _check_receivers(topo.n_r, max_receivers)
     masks = topo.hearer_masks
     heard = 0
     for mask in masks:
@@ -143,9 +153,11 @@ def longest_chain(topo: Topology, *, max_receivers: int = 24) -> tuple[int, Powe
         if need > proven[1]:
             return False
         for mask in masks:
-            if mask & ~covered and reaches(covered | mask, need - 1):
-                proven[0] = need
-                return True
+            if mask & ~covered:
+                child = covered | mask
+                if (heard & ~child).bit_count() >= need - 1 and reaches(child, need - 1):
+                    proven[0] = need
+                    return True
         proven[1] = need - 1
         return False
 

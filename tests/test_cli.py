@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadenet import powerchain
-from fadenet.cli import _json_text, main
-from fadenet.topology import generate, save_topology
+from fadenet import powerchain, topology
+from fadenet.cli import _json_text, build_parser, main
+from fadenet.topology import Topology, generate, save_topology
 
 
 def run(capsys, *argv):
@@ -458,6 +458,54 @@ def test_longest_chain_runs_once_per_grid_command(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "kappa", "--gen", "random:3,3,0.5", "--seed", "1")
+    assert code == 0 and json.loads(out)["kappa_star"] >= 1
+    code, out, err = run(capsys, "kappa", "--gen", "random:3,3,0.5")
+    assert (code, out) == (2, "")
+    assert "random topologies need --seed" in err
+    grid = ("bounds", "--gen", "diagonal:2", "--grid", "8,16,3")
+    code, out, _ = run(capsys, *grid, "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 3
+    code, out, _ = run(capsys, *grid)
+    assert code == 0
+    assert out.splitlines()[0] == "E,kappa,loglog,lower,upper,feasible"
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fadenet")
+
+
+@pytest.mark.parametrize(
+    "argv,n_r",
+    [
+        (["kappa", "--gen", "diagonal:500"], 500),
+        (["kappa", "--gen", "full:2,1000"], 1000),
+        (["bounds", "--gen", "wyner_linear:24", "--grid", "8,16,3"], 25),
+        (["sweep", "--gen", "wyner_cyclic:25", "--grid", "8,10,2", "--seed", "1"], 25),
+    ],
+)
+def test_oversized_spec_is_refused_before_it_is_built(capsys, monkeypatch, argv, n_r):
+    with pytest.raises(powerchain.SizeGuardError) as guard:
+        powerchain.longest_chain(Topology(n_t=1, n_r=n_r))
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the oversized topology was built")
+
+    monkeypatch.setattr(topology, "generate", unbuilt)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {guard.value}\n"
+
+
+def test_decompose_builds_specs_over_the_chain_guard(capsys):
+    perm = ",".join(map(str, range(1, 31)))
+    code, out, _ = run(capsys, "decompose", "--gen", "diagonal:30", "--perm", perm)
+    assert code == 0
+    assert json.loads(out)["kappa"] == 30
 
 
 # strings with non-ASCII, quote, backslash and control characters

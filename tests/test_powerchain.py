@@ -149,6 +149,14 @@ def test_longest_chain_equals_the_unbounded_dp_on_11_to_14_receivers(topo):
     assert longest_chain(topo) == _reference_longest_chain(topo)
 
 
+@given(_topologies(max_transmitters=10, receivers=(15, 24)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_longest_chain_equals_the_unbounded_dp_on_15_to_24_receivers(topo):
+    # fewer transmitters than receivers: the live-transmitter half of the
+    # ceiling decides, and the reference's 2**n_t states stay cheap
+    assert longest_chain(topo) == _reference_longest_chain(topo)
+
+
 @pytest.mark.parametrize(
     "spec,seed,transmitters,witnesses",
     [
