@@ -276,10 +276,11 @@ class _ChainLevel:
 
 def _chain_level(model: FadingModel, chain: PowerChain, nu: int) -> _ChainLevel:
     t, r = chain.transmitters[nu - 1], chain.witnesses[nu - 1]
+    masks = model.topo.hearer_masks
     interferers = tuple(
         eta
         for eta in range(nu + 1, len(chain) + 1)
-        if (r, chain.transmitters[eta - 1]) not in model.topo.zeros
+        if masks[chain.transmitters[eta - 1] - 1] >> (r - 1) & 1
     )
     entries = [(r, t)] + [(r, chain.transmitters[eta - 1]) for eta in interferers]
     idx = [model.entry_index(*entry) for entry in entries]
@@ -439,7 +440,8 @@ def _duality_phase(model: FadingModel, rx: list[int], tx: list[int], t_star: int
     """The duality bound on block rx x tx, led by t_star, which every r in rx hears."""
     n_r = len(rx)
     n_t = len(tx)
-    block_entries = [(r, t) for r in rx for t in tx if (r, t) not in model.topo.zeros]
+    masks = model.topo.hearer_masks
+    block_entries = [(r, t) for r in rx for t in tx if masks[t - 1] >> (r - 1) & 1]
     frob2 = sum(
         abs(model.entry_mean(r, t)) ** 2 + model.entry_variance(r, t)
         for r, t in block_entries
@@ -531,6 +533,7 @@ def plan(model: FadingModel) -> Plan:
         raise ValueError("plan requires a pruned topology")
     decomp = decompose(topo, tuple(range(1, topo.n_t + 1)))
     _, chain = longest_chain(topo)
+    masks = topo.hearer_masks
 
     phases = []
     cross_terms = []
@@ -541,8 +544,8 @@ def plan(model: FadingModel) -> Plan:
         phases.append(_duality_phase(model, rx, tx, decomp.chain.transmitters[k]))
         if k < decomp.kappa - 1:
             later_rx = set().union(*decomp.receiver_blocks[k + 1 :])
-            a = [(r, t) for r in rx for t in tx if (r, t) not in topo.zeros]
-            b = [(r, t) for r in sorted(later_rx) for t in tx if (r, t) not in topo.zeros]
+            a = [(r, t) for r in rx for t in tx if masks[t - 1] >> (r - 1) & 1]
+            b = [(r, t) for r in sorted(later_rx) for t in tx if masks[t - 1] >> (r - 1) & 1]
             cross_terms.append(block_mutual_information(model, a, b))
     return Plan(
         chain=chain,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-from .topology import Topology, _is_int
+from .topology import Topology, _bits, _is_int
 
 __all__ = [
     "SizeGuardError",
@@ -105,11 +105,13 @@ def longest_chain(topo: Topology, *, max_receivers: int = _MAX_RECEIVERS) -> tup
 
     Whether a tuple can be extended depends only on the union of hearer sets
     covered so far, so the search memoises on that subset.  For each state it
-    keeps a proven interval [lo, hi] of how many more members a chain from
-    there can have.  ``hi`` starts at the state's ceiling, the smaller of its
-    live transmitters (those that still reach an uncovered receiver) and the
-    uncovered receivers they reach: every later chain member is a distinct
-    live transmitter that brings at least one of those receivers.  Asking
+    keeps the masks of its live transmitters (those that still reach an
+    uncovered receiver), filtered once from the live masks of the state that
+    first reached it, and a proven interval [lo, hi] of how many more
+    members a chain from there can have.  ``hi`` starts at the state's
+    ceiling, the smaller of its live transmitters and the uncovered receivers
+    they reach: every later chain member is a distinct live transmitter that
+    brings at least one of those receivers.  Asking
     whether a state reaches ``need`` more members is answered from the
     interval when it can be; otherwise its children are tried in transmitter
     order, each only while its uncovered receivers can still hold the
@@ -137,32 +139,35 @@ def longest_chain(topo: Topology, *, max_receivers: int = _MAX_RECEIVERS) -> tup
     heard = 0
     for mask in masks:
         heard |= mask
-    # covered -> [lo, hi]: a chain of lo more members is proven to start
-    # there, and none longer than hi can
-    memo: dict[int, list[int]] = {}
+    # covered -> [lo, hi, live]: a chain of lo more members is proven to
+    # start there, none longer than hi can, and live holds the masks, in
+    # transmitter order, that still reach an uncovered receiver
+    memo: dict[int, list] = {}
 
-    def reaches(covered: int, need: int) -> bool:
+    # parent_live: the live masks of a state whose covered set is a subset
+    # of this one's, so that filtering them gives this state's
+    def reaches(covered: int, need: int, parent_live: Sequence[int]) -> bool:
         if need <= 0:
             return True
         proven = memo.get(covered)
         if proven is None:
-            live = sum(1 for mask in masks if mask & ~covered)
-            proven = memo[covered] = [0, min(live, (heard & ~covered).bit_count())]
+            live = [mask for mask in parent_live if mask & ~covered]
+            proven = memo[covered] = [0, min(len(live), (heard & ~covered).bit_count()), live]
         if need <= proven[0]:
             return True
         if need > proven[1]:
             return False
-        for mask in masks:
-            if mask & ~covered:
-                child = covered | mask
-                if (heard & ~child).bit_count() >= need - 1 and reaches(child, need - 1):
-                    proven[0] = need
-                    return True
+        live = proven[2]
+        for mask in live:
+            child = covered | mask
+            if (heard & ~child).bit_count() >= need - 1 and reaches(child, need - 1, live):
+                proven[0] = need
+                return True
         proven[1] = need - 1
         return False
 
     kappa_star = 0
-    while reaches(0, kappa_star + 1):
+    while reaches(0, kappa_star + 1, masks):
         kappa_star += 1
     transmitters: list[int] = []
     witnesses: list[int] = []
@@ -170,7 +175,7 @@ def longest_chain(topo: Topology, *, max_receivers: int = _MAX_RECEIVERS) -> tup
     for left in range(kappa_star, 0, -1):
         for t, mask in enumerate(masks, start=1):
             fresh = mask & ~covered
-            if fresh and reaches(covered | mask, left - 1):
+            if fresh and reaches(covered | mask, left - 1, masks):
                 transmitters.append(t)
                 witnesses.append((fresh & -fresh).bit_length())
                 covered |= mask
@@ -255,10 +260,7 @@ def decompose(topo: Topology, permutation: Sequence[int]) -> ChainDecomposition:
             tuple(perm[p - 1] for p in positions),
             tuple((b & -b).bit_length() for b in blocks_r),
         ),
-        receiver_blocks=tuple(
-            frozenset(r for r in range(1, topo.n_r + 1) if b >> (r - 1) & 1)
-            for b in blocks_r
-        ),
+        receiver_blocks=tuple(frozenset(_bits(b)) for b in blocks_r),
         transmitter_blocks=tuple(
             frozenset(perm[lo - 1 : hi - 1]) for lo, hi in zip(bounds, bounds[1:])
         ),

@@ -2,10 +2,12 @@
 
 A network is described purely by which (receiver, transmitter) pairs carry a
 deterministically zero channel gain; every other pair fades randomly.  All
-public indices are 1-based.  The set ``zeros`` is the one stored form of the
-pattern and ``hearer_masks``, one bitmask of hearing receivers per
-transmitter, the one index derived from it; the chain algorithms walk the
-masks.
+public indices are 1-based.  A topology is stored as ``hearer_masks``, one
+bitmask of hearing receivers per transmitter, which is all the chain
+algorithms and the bounds read; the set ``zeros`` of zero pairs is a view
+derived from the masks on first use, for JSON and for the tests.  The
+generators and ``prune`` work on the masks directly, so a family with O(n)
+hearing pairs is built without its O(n²) zero pairs.
 
 Pruning drops silent transmitters and deaf receivers in a single pass: none
 of them is in a hearing pair, so removing them strands no other node.
@@ -36,49 +38,66 @@ __all__ = [
 GENERATOR_KINDS = ("full", "diagonal", "wyner_linear", "wyner_cyclic", "random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Topology:
     """Connectivity pattern of a fading network.
 
-    ``zeros`` holds the (receiver, transmitter) pairs whose fading entry is
-    deterministically zero.  Instances are immutable, hashable, and safe to
+    ``hearer_masks[t - 1]`` has bit r-1 set iff receiver r hears transmitter
+    t, that is iff (r, t) is not a zero pair.  The constructor takes the
+    pattern as ``zeros``, the (receiver, transmitter) pairs whose fading
+    entry is deterministically zero, and validates each of them; ``zeros``
+    reads the same set back.  Instances are immutable, hashable, and safe to
     share across worker threads.
     """
 
     n_t: int
     n_r: int
-    zeros: frozenset[tuple[int, int]] = frozenset()
+    hearer_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not (_is_int(self.n_t) and _is_int(self.n_r)):
-            raise ValueError("n_t and n_r must be integers")
-        if self.n_t < 0 or self.n_r < 0:
-            raise ValueError("transmitter and receiver counts must be non-negative")
-        # numpy integers are stored as int, so that a topology always serialises
-        object.__setattr__(self, "n_t", int(self.n_t))
-        object.__setattr__(self, "n_r", int(self.n_r))
-        pairs = set()
-        for r, t in self.zeros:
+    def __init__(self, n_t: int, n_r: int, zeros: frozenset[tuple[int, int]] = frozenset()) -> None:
+        n_t, n_r = _check_sizes(n_t, n_r)
+        masks = [(1 << n_r) - 1] * n_t
+        for r, t in zeros:
             if not (_is_int(r) and _is_int(t)):
                 raise ValueError(f"zero pair {(r, t)!r} must hold integers")
-            if not (1 <= r <= self.n_r and 1 <= t <= self.n_t):
-                raise ValueError(f"zero pair {(r, t)} out of range for {self.n_r}x{self.n_t} network")
-            pairs.add((int(r), int(t)))
-        object.__setattr__(self, "zeros", frozenset(pairs))
+            if not (1 <= r <= n_r and 1 <= t <= n_t):
+                raise ValueError(f"zero pair {(r, t)} out of range for {n_r}x{n_t} network")
+            masks[int(t) - 1] &= ~(1 << (int(r) - 1))
+        self._store(n_t, n_r, tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, n_t: int, n_r: int, masks) -> Topology:
+        """The topology whose transmitter t is heard by the receivers of the
+        set bits of ``masks[t - 1]``: n_t ints, each in [0, 2**n_r)."""
+        n_t, n_r = _check_sizes(n_t, n_r)
+        masks = tuple(masks)
+        limit = 1 << n_r
+        if len(masks) != n_t or not all(type(m) is int and 0 <= m < limit for m in masks):
+            raise ValueError(f"need {n_t} hearer masks, each an int in [0, 2**{n_r})")
+        topo = cls.__new__(cls)
+        topo._store(n_t, n_r, masks)
+        return topo
+
+    def _store(self, n_t: int, n_r: int, masks: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n_t", n_t)
+        object.__setattr__(self, "n_r", n_r)
+        object.__setattr__(self, "hearer_masks", masks)
 
     @cached_property
-    def hearer_masks(self) -> tuple[int, ...]:
-        """Per-transmitter bitmasks of hearing receivers: bit r-1 of entry t-1
-        is set iff (r, t) is not a zero pair."""
-        masks = [(1 << self.n_r) - 1] * self.n_t
-        for r, t in self.zeros:
-            masks[t - 1] &= ~(1 << (r - 1))
-        return tuple(masks)
+    def zeros(self) -> frozenset[tuple[int, int]]:
+        """The (receiver, transmitter) pairs whose fading entry is zero."""
+        full = (1 << self.n_r) - 1
+        return frozenset(
+            (r, t) for t, mask in enumerate(self.hearer_masks, start=1) for r in _bits(full & ~mask)
+        )
 
     def nonzero_pairs(self) -> list[tuple[int, int]]:
         """All (receiver, transmitter) pairs that fade randomly, sorted."""
-        pairs = ((r, t) for r in range(1, self.n_r + 1) for t in range(1, self.n_t + 1))
-        return [pair for pair in pairs if pair not in self.zeros]
+        heard_by: list[list[int]] = [[] for _ in range(self.n_r)]
+        for t, mask in enumerate(self.hearer_masks, start=1):
+            for r in _bits(mask):
+                heard_by[r - 1].append(t)
+        return [(r, t) for r, ts in enumerate(heard_by, start=1) for t in ts]
 
     @property
     def is_empty(self) -> bool:
@@ -97,6 +116,24 @@ class Topology:
             raise ValueError(f"transmitter index {t!r} is not one of the integers 1..{self.n_t}")
 
 
+def _check_sizes(n_t, n_r) -> tuple[int, int]:
+    """The transmitter and receiver counts as ints (numpy integers too, so
+    that a topology always serialises); raises unless both are integers >= 0."""
+    if not (_is_int(n_t) and _is_int(n_r)):
+        raise ValueError("n_t and n_r must be integers")
+    if n_t < 0 or n_r < 0:
+        raise ValueError("transmitter and receiver counts must be non-negative")
+    return int(n_t), int(n_r)
+
+
+def _bits(mask: int):
+    """The 1-based positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
 def prune(topo: Topology) -> Topology:
     """Drop receivers that hear nothing and transmitters that nobody hears.
 
@@ -104,19 +141,21 @@ def prune(topo: Topology) -> Topology:
     is in no hearing pair, so removing it leaves every other node's hearing
     pairs, and hence its survival, as they were.  Survivors are relabelled
     in ascending order, so the fading entries keep their sorted order.  A
-    network that prunes away entirely comes back empty (``is_empty``).
+    network with nothing to drop comes back as it is, and one that prunes
+    away entirely comes back empty (``is_empty``).
     """
-    heard = reduce(or_, topo.hearer_masks, 0)
-    kept_t = [t for t, mask in enumerate(topo.hearer_masks, start=1) if mask]
-    kept_r = [r for r in range(1, topo.n_r + 1) if heard >> (r - 1) & 1]
-    t_new = {t: i for i, t in enumerate(kept_t, start=1)}
-    r_new = {r: i for i, r in enumerate(kept_r, start=1)}
-    zeros = {
-        (r_new[r], t_new[t])
-        for r, t in topo.zeros
-        if r in r_new and t in t_new
-    }
-    return Topology(n_t=len(kept_t), n_r=len(kept_r), zeros=frozenset(zeros))
+    masks = topo.hearer_masks
+    heard = reduce(or_, masks, 0)
+    deaf = ((1 << topo.n_r) - 1) & ~heard
+    if all(masks) and not deaf:
+        return topo
+    kept = [mask for mask in masks if mask]
+    # close each deaf receiver's gap, highest first, so that the positions
+    # of the gaps still to close have not moved
+    for r in reversed(list(_bits(deaf))):
+        low = (1 << (r - 1)) - 1
+        kept = [(mask & low) | (mask >> r << (r - 1)) for mask in kept]
+    return Topology._from_masks(len(kept), topo.n_r - deaf.bit_count(), kept)
 
 
 def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
@@ -149,29 +188,16 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
     ints = [int(p) for p in sizes]
     if kind == "full":
         n_t, n_r = _two(kind, ints)
-        return Topology(n_t=n_t, n_r=n_r)
+        return Topology._from_masks(n_t, n_r, ((1 << n_r) - 1,) * n_t)
     if kind == "diagonal":
         n = _one(kind, ints)
-        zeros = {(r, t) for t in range(1, n + 1) for r in range(1, n + 1) if r != t}
-        return Topology(n_t=n, n_r=n, zeros=frozenset(zeros))
+        return Topology._from_masks(n, n, (1 << t for t in range(n)))
     if kind == "wyner_linear":
         n = _one(kind, ints)
-        zeros = {
-            (r, t)
-            for t in range(1, n + 1)
-            for r in range(1, n + 2)
-            if r not in (t, t + 1)
-        }
-        return Topology(n_t=n, n_r=n + 1, zeros=frozenset(zeros))
+        return Topology._from_masks(n, n + 1, (0b11 << t for t in range(n)))
     if kind == "wyner_cyclic":
         n = _one(kind, ints)
-        zeros = {
-            (r, t)
-            for t in range(1, n + 1)
-            for r in range(1, n + 1)
-            if r not in (t, (t % n) + 1)
-        }
-        return Topology(n_t=n, n_r=n, zeros=frozenset(zeros))
+        return Topology._from_masks(n, n, (1 << t | 1 << (t + 1) % n for t in range(n)))
     if kind == "random":
         if len(params) != 3:
             raise ValueError("random topology takes (n_t, n_r, p)")
@@ -187,10 +213,11 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
         if seed is None:
             raise ValueError("random topology requires a seed")
         rng = np.random.default_rng(seed)
-        mask = rng.random((n_r, n_t)) < p
-        zeros = {(int(r) + 1, int(t) + 1) for r, t in zip(*np.nonzero(mask))}
-        raw = Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros))
-        return prune(raw)
+        # entry (r, t) of the draw zeroes the pair; row t-1 of the packed
+        # transposed complement is transmitter t's mask, bit r-1 first
+        hears = np.packbits(rng.random((n_r, n_t)).T >= p, axis=1, bitorder="little")
+        masks = [int.from_bytes(row.tobytes(), "little") for row in hears]
+        return prune(Topology._from_masks(n_t, n_r, masks))
     raise ValueError(f"unknown topology kind {kind!r}; expected one of {GENERATOR_KINDS}")
 
 
@@ -212,36 +239,14 @@ def _two(kind: str, ints: list[int]) -> tuple[int, int]:
 
 def parse_generator_spec(spec: str, seed: int | None = None) -> Topology:
     """Parse a compact generator string such as ``full:3,3`` or ``random:5,5,0.4``."""
-    kind, params = _split_spec(spec)
-    return generate(kind, *params, seed=seed)
-
-
-def _split_spec(spec: str) -> tuple[str, list[float]]:
     kind, _, rest = spec.partition(":")
     if not rest:
         raise ValueError(f"generator spec {spec!r} has no parameters (expected kind:p1,p2,...)")
     try:
-        return kind.strip(), [float(tok) for tok in rest.split(",")]
+        params = [float(tok) for tok in rest.split(",")]
     except ValueError as exc:
         raise ValueError(f"generator spec {spec!r} has non-numeric parameters") from exc
-
-
-def _spec_receivers(spec: str) -> int | None:
-    """The receiver count of the topology a well-formed ``full``, ``diagonal``
-    or Wyner spec builds, read off the spec without building its zero set.
-
-    None for ``random``, whose pruning can drop receivers, and for sizes
-    ``generate`` rejects, which it then reports.
-    """
-    kind, params = _split_spec(spec)
-    if not all(p.is_integer() and p >= 1 for p in params):
-        return None
-    sizes = [int(p) for p in params]
-    if kind == "full" and len(sizes) == 2:
-        return sizes[1]
-    if kind in ("diagonal", "wyner_linear", "wyner_cyclic") and len(sizes) == 1:
-        return sizes[0] + (kind == "wyner_linear")
-    return None
+    return generate(kind.strip(), *params, seed=seed)
 
 
 def topology_to_dict(topo: Topology) -> dict:

@@ -7,6 +7,7 @@ import numpy as np
 
 from fadenet.bounds import PowerAllocation
 from fadenet.fading import FadingModel, _standard_complex
+from fadenet.topology import Topology
 
 
 def log_h_squared_mean_mc(
@@ -81,3 +82,47 @@ def dense_mutual_information(model: FadingModel, entries_a, entries_b) -> float:
     _, logdet_b = np.linalg.slogdet(dense_covariance(model, b))
     _, logdet_ab = np.linalg.slogdet(dense_covariance(model, a + b))
     return float(logdet_a + logdet_b - logdet_ab)
+
+
+def generate_from_zeros(kind: str, *params, seed=None) -> Topology:
+    """The standard families built from their zero pairs through the public
+    constructor, and ``random`` pruned pair by pair; the oracle for
+    :func:`fadenet.topology.generate`, which builds hearer masks."""
+    if kind == "full":
+        n_t, n_r = params
+        return Topology(n_t=n_t, n_r=n_r)
+    if kind == "diagonal":
+        (n,) = params
+        zeros = {(r, t) for t in range(1, n + 1) for r in range(1, n + 1) if r != t}
+        return Topology(n_t=n, n_r=n, zeros=frozenset(zeros))
+    if kind == "wyner_linear":
+        (n,) = params
+        zeros = {(r, t) for t in range(1, n + 1) for r in range(1, n + 2) if r not in (t, t + 1)}
+        return Topology(n_t=n, n_r=n + 1, zeros=frozenset(zeros))
+    if kind == "wyner_cyclic":
+        (n,) = params
+        zeros = {
+            (r, t) for t in range(1, n + 1) for r in range(1, n + 1) if r not in (t, (t % n) + 1)
+        }
+        return Topology(n_t=n, n_r=n, zeros=frozenset(zeros))
+    if kind == "random":
+        n_t, n_r, p = params
+        mask = np.random.default_rng(seed).random((n_r, n_t)) < p
+        zeros = {(int(r) + 1, int(t) + 1) for r, t in zip(*np.nonzero(mask))}
+        return prune_pairs(Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros)))
+    raise ValueError(f"unknown topology kind {kind!r}")
+
+
+def prune_pairs(topo: Topology) -> Topology:
+    """Silent transmitters and deaf receivers dropped by relabelling the
+    zero pairs of the survivors; the oracle for
+    :func:`fadenet.topology.prune`, which works on the masks."""
+    heard = 0
+    for mask in topo.hearer_masks:
+        heard |= mask
+    kept_t = [t for t, mask in enumerate(topo.hearer_masks, start=1) if mask]
+    kept_r = [r for r in range(1, topo.n_r + 1) if heard >> (r - 1) & 1]
+    t_new = {t: i for i, t in enumerate(kept_t, start=1)}
+    r_new = {r: i for i, r in enumerate(kept_r, start=1)}
+    zeros = {(r_new[r], t_new[t]) for r, t in topo.zeros if r in r_new and t in t_new}
+    return Topology(n_t=len(kept_t), n_r=len(kept_r), zeros=frozenset(zeros))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from fadenet import cli, simulate
+from fadenet.topology import Topology
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -38,6 +39,23 @@ def test_workload_outputs_pass_their_checks(name):
         assert code == 0, (case.label, err.getvalue())
         problems, _ = case.check(out.getvalue(), err.getvalue())
         assert problems == [], case.label
+
+
+@pytest.mark.parametrize("name", ["chain", "bounds"])
+def test_hot_path_never_builds_the_zero_set(name, monkeypatch):
+    # kappa and bounds read only the hearer masks; the O(n^2) zero set is
+    # for JSON and the tests
+    def unbuilt(topo):
+        raise AssertionError("the zero set was built")
+
+    workload = load_workloads().build(name, seed=0)
+    monkeypatch.setattr(Topology, "zeros", property(unbuilt))
+    for case in workload.cases:
+        assert case.argv[0] in ("kappa", "bounds")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(case.argv)
+        assert code == 0, (case.label, err.getvalue())
 
 
 def test_traced_foreign_function_resolves():

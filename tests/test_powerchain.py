@@ -353,3 +353,15 @@ def test_decompose_blocks_follow_their_definition(case):
     assert dec.chain == PowerChain(
         tuple(perm[pos - 1] for pos in positions), tuple(min(b) for b in receiver_blocks)
     )
+
+
+def test_decompose_walks_hearer_masks_not_zero_pairs(monkeypatch):
+    def unbuilt(topo):
+        raise AssertionError("the zero set was built")
+
+    # 999 000 zero pairs, and a decomposition that needs O(n) work
+    monkeypatch.setattr(Topology, "zeros", property(unbuilt))
+    dec = decompose(generate("diagonal", 1000), tuple(range(1000, 0, -1)))
+    assert dec.kappa == 1000
+    assert dec.chain.transmitters == dec.chain.witnesses == tuple(range(1000, 0, -1))
+    assert dec.receiver_blocks == tuple(frozenset({t}) for t in range(1000, 0, -1))

@@ -18,6 +18,7 @@ from fadenet.topology import (
     topology_from_dict,
     topology_to_dict,
 )
+from oracles import generate_from_zeros, prune_pairs
 
 
 def test_construction_validates_ranges():
@@ -121,7 +122,45 @@ def test_prune_degenerate_all_zero():
 def test_prune_idempotent_on_families():
     for spec in ("full:3,2", "diagonal:4", "wyner_linear:3", "wyner_cyclic:5"):
         topo = parse_generator_spec(spec)
-        assert prune(topo) == topo
+        # nothing to drop: the input itself comes back
+        assert prune(topo) is topo
+
+
+def test_mask_constructor_checks_its_masks():
+    z = Topology._from_masks(2, np.int64(2), [0b01, 0b11])
+    assert z == Z_CHANNEL and hash(z) == hash(Z_CHANNEL) and type(z.n_r) is int
+    for masks in ((0b01,), (0b01, 0b11, 0b11), (0b01, 0b100), (0b01, -1), (0b01, True),
+                  (0b01, np.int64(1)), (0b01, 1.0)):
+        with pytest.raises(ValueError, match="hearer masks"):
+            Topology._from_masks(2, 2, masks)
+    with pytest.raises(ValueError, match="integers"):
+        Topology._from_masks(2.0, 2, (1, 1))
+
+
+def assert_same_topology(topo, oracle):
+    assert topo == oracle and hash(topo) == hash(oracle)
+    assert topo.hearer_masks == oracle.hearer_masks and topo.zeros == oracle.zeros
+    assert json.dumps(topology_to_dict(topo)) == json.dumps(topology_to_dict(oracle))
+    assert topo.nonzero_pairs() == oracle.nonzero_pairs()
+    assert topo.is_pruned == oracle.is_pruned
+
+
+def test_families_match_their_zero_pair_oracle():
+    for n in range(1, 25):
+        for kind in ("diagonal", "wyner_linear", "wyner_cyclic"):
+            assert_same_topology(generate(kind, n), generate_from_zeros(kind, n))
+        for n_r in {1, n, 25 - n}:
+            assert_same_topology(generate("full", n, n_r), generate_from_zeros("full", n, n_r))
+
+
+@pytest.mark.parametrize(
+    "n_t,n_r,p,seed",
+    [(1, 1, 0.5, 0), (5, 6, 0.5, 1), (12, 9, 0.7, 2), (22, 22, 0.8, 5), (16, 16, 0.3, 5),
+     (20, 3, 0.9, 3), (3, 20, 0.95, 4), (9, 9, 0.0, 6), (9, 9, 1.0, 7), (70, 65, 0.97, 8)],
+)
+def test_random_matches_its_zero_pair_oracle(n_t, n_r, p, seed):
+    topo = generate("random", n_t, n_r, p, seed=seed)
+    assert_same_topology(topo, generate_from_zeros("random", n_t, n_r, p, seed=seed))
 
 
 def test_random_generator_is_seeded_and_pruned():
@@ -277,3 +316,28 @@ def test_hearing_counts_match_zero_count(topo):
         if masks[t - 1] >> (r - 1) & 1
     ]
     assert topo.nonzero_pairs() == hearing
+
+
+@given(topologies())
+@settings(max_examples=150, deadline=None)
+def test_prune_matches_its_pair_oracle(topo):
+    assert_same_topology(prune(topo), prune_pairs(topo))
+
+
+@st.composite
+def zero_sets(draw):
+    n_t = draw(st.integers(min_value=1, max_value=8))
+    n_r = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(r, t) for r in range(1, n_r + 1) for t in range(1, n_t + 1)]
+    return n_t, n_r, frozenset(draw(st.sets(st.sampled_from(pairs))))
+
+
+@given(zero_sets())
+@settings(max_examples=150, deadline=None)
+def test_zeros_read_back_and_masks_agree_with_the_pairs(case):
+    n_t, n_r, zeros = case
+    topo = Topology(n_t=n_t, n_r=n_r, zeros=zeros)
+    assert topo.zeros == zeros
+    for r in range(1, n_r + 1):
+        for t in range(1, n_t + 1):
+            assert bool(topo.hearer_masks[t - 1] >> (r - 1) & 1) == ((r, t) not in zeros)
