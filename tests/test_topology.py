@@ -269,12 +269,15 @@ def test_file_round_trip(tmp_path):
 
 
 @st.composite
-def topologies(draw):
+def zero_sets(draw):
     n_t = draw(st.integers(min_value=1, max_value=5))
     n_r = draw(st.integers(min_value=1, max_value=5))
     pairs = [(r, t) for r in range(1, n_r + 1) for t in range(1, n_t + 1)]
-    zeros = draw(st.sets(st.sampled_from(pairs)))
-    return Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros))
+    return n_t, n_r, frozenset(draw(st.sets(st.sampled_from(pairs))))
+
+
+def topologies():
+    return zero_sets().map(lambda case: Topology(n_t=case[0], n_r=case[1], zeros=case[2]))
 
 
 @given(topologies())
@@ -322,14 +325,6 @@ def test_hearing_counts_match_zero_count(topo):
 @settings(max_examples=150, deadline=None)
 def test_prune_matches_its_pair_oracle(topo):
     assert_same_topology(prune(topo), prune_pairs(topo))
-
-
-@st.composite
-def zero_sets(draw):
-    n_t = draw(st.integers(min_value=1, max_value=8))
-    n_r = draw(st.integers(min_value=1, max_value=8))
-    pairs = [(r, t) for r in range(1, n_r + 1) for t in range(1, n_t + 1)]
-    return n_t, n_r, frozenset(draw(st.sets(st.sampled_from(pairs))))
 
 
 @given(zero_sets())
