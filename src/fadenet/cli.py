@@ -27,7 +27,7 @@ from .bounds import BoundReport, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, _check_receivers, decompose, longest_chain
 from .simulate import _check_grid, fit_loglog_slope, snr_sweep
-from .topology import Topology, load_topology, parse_generator_spec, prune
+from .topology import Topology, _spec_receivers, load_topology, parse_generator_spec, prune
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -144,12 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_topo(args: argparse.Namespace) -> Topology:
-    """The topology of --topo or --gen."""
+def _load_topo(args: argparse.Namespace, exact_search: bool = True) -> Topology:
+    """The topology of --topo or --gen.  For a command that runs the exact
+    chain search, a --gen spec whose receiver count already exceeds the
+    search's guard is refused before its hearer masks are built."""
     if args.topo is not None:
         return load_topology(args.topo)
     if args.gen.partition(":")[0].strip() == "random" and args.seed is None:
         raise ValueError("random topologies need --seed")
+    if exact_search and (n_r := _spec_receivers(args.gen)) is not None:
+        _check_receivers(n_r)
     return parse_generator_spec(args.gen, seed=args.seed)
 
 
@@ -334,7 +338,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    topo = _load_topo(args)
+    topo = _load_topo(args, exact_search=False)
     try:
         perm = tuple(int(p) for p in args.perm.split(","))
     except ValueError as exc:

@@ -70,12 +70,8 @@ class Topology:
         """The topology whose transmitter t is heard by the receivers of the
         set bits of ``masks[t - 1]``: n_t ints, each in [0, 2**n_r)."""
         n_t, n_r = _check_sizes(n_t, n_r)
-        masks = tuple(masks)
-        limit = 1 << n_r
-        if len(masks) != n_t or not all(type(m) is int and 0 <= m < limit for m in masks):
-            raise ValueError(f"need {n_t} hearer masks, each an int in [0, 2**{n_r})")
         topo = cls.__new__(cls)
-        topo._store(n_t, n_r, masks)
+        topo._store(n_t, n_r, tuple(masks))
         return topo
 
     def _store(self, n_t: int, n_r: int, masks: tuple[int, ...]) -> None:
@@ -239,14 +235,37 @@ def _two(kind: str, ints: list[int]) -> tuple[int, int]:
 
 def parse_generator_spec(spec: str, seed: int | None = None) -> Topology:
     """Parse a compact generator string such as ``full:3,3`` or ``random:5,5,0.4``."""
+    kind, params = _split_spec(spec)
+    return generate(kind, *params, seed=seed)
+
+
+def _split_spec(spec: str) -> tuple[str, list[float]]:
     kind, _, rest = spec.partition(":")
     if not rest:
         raise ValueError(f"generator spec {spec!r} has no parameters (expected kind:p1,p2,...)")
     try:
-        params = [float(tok) for tok in rest.split(",")]
+        return kind.strip(), [float(tok) for tok in rest.split(",")]
     except ValueError as exc:
         raise ValueError(f"generator spec {spec!r} has non-numeric parameters") from exc
-    return generate(kind.strip(), *params, seed=seed)
+
+
+def _spec_receivers(spec: str) -> int | None:
+    """The receiver count of the topology a well-formed ``full``, ``diagonal``
+    or Wyner spec builds, read off the spec without building its hearer
+    masks, whose n_r bits each grow with the spec's sizes.
+
+    None for ``random``, whose pruning can drop receivers, and for sizes
+    ``generate`` rejects, which it then reports.
+    """
+    kind, params = _split_spec(spec)
+    if not all(p.is_integer() and p >= 1 for p in params):
+        return None
+    sizes = [int(p) for p in params]
+    if kind == "full" and len(sizes) == 2:
+        return sizes[1]
+    if kind in ("diagonal", "wyner_linear", "wyner_cyclic") and len(sizes) == 1:
+        return sizes[0] + (kind == "wyner_linear")
+    return None
 
 
 def topology_to_dict(topo: Topology) -> dict:

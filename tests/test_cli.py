@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadenet import powerchain
+from fadenet import powerchain, topology
 from fadenet.cli import _json_text, build_parser, main
 from fadenet.fading import FadingModel
 from fadenet.topology import Topology, generate, save_topology
@@ -488,17 +488,20 @@ def test_cached_parser_carries_no_state_between_calls(capsys):
         (["bounds", "--gen", "wyner_linear:24", "--grid", "8,16,3"], 25),
         (["sweep", "--gen", "wyner_cyclic:25", "--grid", "8,10,2", "--seed", "1"], 25),
         (["bounds", "--gen", "full:1000,1000", "--grid", "8,16,3"], 1000),
+        # one hearer mask of 10**12 bits would need 125 GB
+        (["kappa", "--gen", "full:1,1000000000000"], 10**12),
     ],
 )
 def test_oversized_spec_is_refused_before_it_is_built(capsys, monkeypatch, argv, n_r):
-    # the topology is built as its hearer masks; neither its O(n^2) zero set
-    # nor a fading model over its entries may be built before the refusal
+    # neither the hearer masks, nor the zero set, nor a fading model over the
+    # network's entries may be built before the refusal
     with pytest.raises(powerchain.SizeGuardError) as guard:
-        powerchain.longest_chain(Topology(n_t=1, n_r=n_r))
+        powerchain.longest_chain(Topology._from_masks(1, n_r, (1,)))
 
     def unbuilt(*args, **kwargs):
         raise AssertionError("the oversized network was built")
 
+    monkeypatch.setattr(topology, "generate", unbuilt)
     monkeypatch.setattr(Topology, "zeros", property(unbuilt))
     monkeypatch.setattr(FadingModel, "iid_rayleigh", unbuilt)
     code, out, err = run(capsys, *argv)

@@ -126,17 +126,6 @@ def test_prune_idempotent_on_families():
         assert prune(topo) is topo
 
 
-def test_mask_constructor_checks_its_masks():
-    z = Topology._from_masks(2, np.int64(2), [0b01, 0b11])
-    assert z == Z_CHANNEL and hash(z) == hash(Z_CHANNEL) and type(z.n_r) is int
-    for masks in ((0b01,), (0b01, 0b11, 0b11), (0b01, 0b100), (0b01, -1), (0b01, True),
-                  (0b01, np.int64(1)), (0b01, 1.0)):
-        with pytest.raises(ValueError, match="hearer masks"):
-            Topology._from_masks(2, 2, masks)
-    with pytest.raises(ValueError, match="integers"):
-        Topology._from_masks(2.0, 2, (1, 1))
-
-
 def assert_same_topology(topo, oracle):
     assert topo == oracle and hash(topo) == hash(oracle)
     assert topo.hearer_masks == oracle.hearer_masks and topo.zeros == oracle.zeros
