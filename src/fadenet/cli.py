@@ -23,11 +23,12 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import topology
 from .bounds import BoundReport, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, _check_receivers, decompose, longest_chain
 from .simulate import _check_grid, fit_loglog_slope, snr_sweep
-from .topology import Topology, _spec_receivers, load_topology, parse_generator_spec, prune
+from .topology import Topology, load_topology, prune
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -35,6 +36,7 @@ _EXIT_SIZE_GUARD = 3
 _EXIT_INFEASIBLE = 4
 
 _MC_SNR_CAP = 1e16  # estimator variance is unvalidated beyond this
+_MAX_GRID_POINTS = 10**6  # refused before the grid's list is built
 
 _BOUNDS_HEADER = ("E", "kappa", "loglog", "lower", "upper", "feasible")
 _SWEEP_HEADER = ("E", "kappa_star", "loglog", "lower", "mc", "mc_stderr", "upper", "feasible")
@@ -62,7 +64,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         "--grid",
         metavar="START,STOP,POINTS",
         required=True,
-        help="log-spaced SNR grid given as base-10 exponents, e.g. 8,16,5",
+        help="log-spaced SNR grid given as base-10 exponents, e.g. 8,16,5; "
+        f"POINTS is at most {_MAX_GRID_POINTS}",
     )
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", metavar="PATH", help="write data here instead of stdout")
@@ -134,10 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="threads sharing the (grid point, level) estimates; a second "
-        "one pays on nested-path levels and on quadrature sweeps with tens of "
-        "thousands of outer samples, and loses at a few thousand; the output "
-        "bytes do not depend on it",
+        help="threads sharing the (grid point, level) estimates, at most the "
+        "CPU count; a second one pays on nested-path levels and ties with one "
+        "on quadrature levels; the output bytes do not depend on it",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -146,15 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_topo(args: argparse.Namespace, exact_search: bool = True) -> Topology:
     """The topology of --topo or --gen.  For a command that runs the exact
-    chain search, a --gen spec whose receiver count already exceeds the
-    search's guard is refused before its hearer masks are built."""
+    chain search, a deterministic --gen spec is sized by
+    ``topology._shape``, the rule ``generate`` builds it by, and a receiver
+    count over the search's guard is refused before the hearer masks are
+    built.  A ``random`` spec, which pruning may shrink, and a --topo file
+    are guarded once built."""
     if args.topo is not None:
         return load_topology(args.topo)
     if args.gen.partition(":")[0].strip() == "random" and args.seed is None:
         raise ValueError("random topologies need --seed")
-    if exact_search and (n_r := _spec_receivers(args.gen)) is not None:
-        _check_receivers(n_r)
-    return parse_generator_spec(args.gen, seed=args.seed)
+    kind, params = topology._split_spec(args.gen)
+    if exact_search and kind != "random":
+        _check_receivers(topology._shape(kind, params)[1])
+    return topology.generate(kind, *params, seed=args.seed)
 
 
 def _load_pruned_network(args: argparse.Namespace) -> FadingModel:
@@ -186,6 +192,8 @@ def _parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("--grid wants START,STOP,POINTS")
     start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"--grid POINTS {points} exceeds the limit of {_MAX_GRID_POINTS}")
     if points == 1 and start != stop:
         raise ValueError("one-point grid needs START == STOP")
     step = (stop - start) / max(points - 1, 1)

@@ -51,15 +51,19 @@ same level, budget and seed.
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
 so the worker count never changes the output bytes.  The sweep's workers are
-threads: a second one pays wherever a level is long numpy calls, on
-nested-path levels and on quadrature levels with tens of thousands of outer
-samples, and loses to one on quadrature sweeps with a few thousand.
+threads, at most one per CPU.  On 2 cores a second one pays on nested-path
+levels, which are long numpy calls (a Z-channel with an interferer mean,
+2000 outer by 2000 inner samples at 3 points: 3.8-4.2 s with one, 2.6-2.7 s
+with two), and ties with one on quadrature levels (``diagonal:2`` at 5
+points: 20.5 against 21.1 ms at 20000 outer samples, 5.2 against 5.1 ms at
+3000).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -131,19 +135,12 @@ def _log_uniform_quantile(u: np.ndarray, x_min: float, x_max: float) -> np.ndarr
     return np.exp(log_min + (math.log(x_max) - log_min) * u)
 
 
-def _log_uniform_magnitudes(
-    rng: np.random.Generator, x_min: float, x_max: float, shape
-) -> np.ndarray:
-    """``_log_uniform_quantile`` at i.i.d. uniforms."""
-    return _log_uniform_quantile(rng.random(shape), x_min, x_max)
-
-
 def _level_inputs(
     rng: np.random.Generator, x_min: float, x_max: float, shape
 ) -> np.ndarray:
-    """The input law of one chain level: ``_log_uniform_magnitudes`` times a
-    uniform phase, drawn after the magnitudes."""
-    mags = _log_uniform_magnitudes(rng, x_min, x_max, shape)
+    """The input law of one chain level: ``_log_uniform_quantile`` at i.i.d.
+    uniforms, times a uniform phase drawn after the magnitudes."""
+    mags = _log_uniform_quantile(rng.random(shape), x_min, x_max)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=shape)
     return mags * np.exp(1j * phases)
 
@@ -724,10 +721,9 @@ def snr_sweep(
 
     Each grid point and chain level gets its own child seed derived from the
     root by position, and records are assembled in grid order, so the result
-    is byte-identical for any ``workers`` count.  The worker threads share
-    one queue of (point, level) estimates in grid order; a second worker pays
-    on nested-path levels and on quadrature levels with tens of thousands of
-    outer samples.
+    is byte-identical for any ``workers`` count.  At most ``os.cpu_count()``
+    worker threads share one queue of (point, level) estimates in grid
+    order; a second worker pays on nested-path levels only.
     Each point is :func:`fadenet.bounds.evaluate`'s report, plus the
     per-level estimates when it is feasible: level nu at point i is
     :func:`estimate_pair_mi` with ``seed=SeedSequence([seed, i, nu])``, from
@@ -755,7 +751,9 @@ def snr_sweep(
         seed = np.random.SeedSequence([root_seed, i, nu])
         return _estimate_level(bounds_plan.levels[nu - 1], reports[i].alloc, n_outer, m_inner, seed)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # the pool starts a thread per queued task up to its size, so more than
+    # the cores would only contend
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         # the estimates come back in task order, so each feasible point takes
         # its kappa levels off the front
         estimates = pool.map(estimate, tasks)

@@ -174,6 +174,33 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
         The topology.  ``random`` may return a degenerate (empty) topology if
         pruning removes everything.
     """
+    n_t, n_r = _shape(kind, params, seed)
+    if kind == "full":
+        masks = ((1 << n_r) - 1,) * n_t
+    elif kind == "diagonal":
+        masks = (1 << t for t in range(n_t))
+    elif kind == "wyner_linear":
+        masks = (0b11 << t for t in range(n_t))
+    elif kind == "wyner_cyclic":
+        masks = (1 << t | 1 << (t + 1) % n_t for t in range(n_t))
+    else:  # random, whose p and seed _shape has checked
+        rng = np.random.default_rng(seed)
+        # entry (r, t) of the draw zeroes the pair; row t-1 of the packed
+        # transposed complement is transmitter t's mask, bit r-1 first
+        hears = np.packbits(rng.random((n_r, n_t)).T >= float(params[2]), axis=1, bitorder="little")
+        masks = [int.from_bytes(row.tobytes(), "little") for row in hears]
+        return prune(Topology._from_masks(n_t, n_r, masks))
+    return Topology._from_masks(n_t, n_r, masks)
+
+
+def _shape(kind: str, params, seed: int | None = None) -> tuple[int, int]:
+    """The (n_t, n_r) of ``generate(kind, *params, seed=seed)``, before
+    ``random``'s pruning, read off the parameters without building a mask.
+
+    Raises every ``ValueError`` that ``generate`` raises, in the same order,
+    so that a caller can size a spec (each mask holds n_r bits) before it is
+    built.
+    """
     sizes = params[:2] if kind == "random" else params
     # an int, or a whole float as parse_generator_spec passes; _is_int turns
     # away bools and strings, which float() would read as numbers
@@ -183,54 +210,32 @@ def generate(kind: str, *params: float, seed: int | None = None) -> Topology:
         raise ValueError(f"seed must be an integer, not {seed!r}")
     ints = [int(p) for p in sizes]
     if kind == "full":
-        n_t, n_r = _two(kind, ints)
-        return Topology._from_masks(n_t, n_r, ((1 << n_r) - 1,) * n_t)
-    if kind == "diagonal":
-        n = _one(kind, ints)
-        return Topology._from_masks(n, n, (1 << t for t in range(n)))
-    if kind == "wyner_linear":
-        n = _one(kind, ints)
-        return Topology._from_masks(n, n + 1, (0b11 << t for t in range(n)))
-    if kind == "wyner_cyclic":
-        n = _one(kind, ints)
-        return Topology._from_masks(n, n, (1 << t | 1 << (t + 1) % n for t in range(n)))
+        if len(ints) != 2:
+            raise ValueError(f"{kind} topology takes (n_t, n_r)")
+        if min(ints) < 1:
+            raise ValueError(f"{kind} topology needs positive sizes")
+        return ints[0], ints[1]
+    if kind in ("diagonal", "wyner_linear", "wyner_cyclic"):
+        if len(ints) != 1:
+            raise ValueError(f"{kind} topology takes exactly one size parameter")
+        if ints[0] < 1:
+            raise ValueError(f"{kind} topology needs a positive size")
+        return ints[0], ints[0] + (kind == "wyner_linear")
     if kind == "random":
         if len(params) != 3:
             raise ValueError("random topology takes (n_t, n_r, p)")
-        n_t, n_r = ints
         p = params[2]
         if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, float, np.integer, np.floating)):
             raise ValueError(f"zero probability must be a number, not {p!r}")
         p = float(p)
-        if n_t < 1 or n_r < 1:
+        if min(ints) < 1:
             raise ValueError("random topology needs at least one transmitter and receiver")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"zero probability {p} outside [0, 1]")
         if seed is None:
             raise ValueError("random topology requires a seed")
-        rng = np.random.default_rng(seed)
-        # entry (r, t) of the draw zeroes the pair; row t-1 of the packed
-        # transposed complement is transmitter t's mask, bit r-1 first
-        hears = np.packbits(rng.random((n_r, n_t)).T >= p, axis=1, bitorder="little")
-        masks = [int.from_bytes(row.tobytes(), "little") for row in hears]
-        return prune(Topology._from_masks(n_t, n_r, masks))
+        return ints[0], ints[1]
     raise ValueError(f"unknown topology kind {kind!r}; expected one of {GENERATOR_KINDS}")
-
-
-def _one(kind: str, ints: list[int]) -> int:
-    if len(ints) != 1:
-        raise ValueError(f"{kind} topology takes exactly one size parameter")
-    if ints[0] < 1:
-        raise ValueError(f"{kind} topology needs a positive size")
-    return ints[0]
-
-
-def _two(kind: str, ints: list[int]) -> tuple[int, int]:
-    if len(ints) != 2:
-        raise ValueError(f"{kind} topology takes (n_t, n_r)")
-    if ints[0] < 1 or ints[1] < 1:
-        raise ValueError(f"{kind} topology needs positive sizes")
-    return ints[0], ints[1]
 
 
 def parse_generator_spec(spec: str, seed: int | None = None) -> Topology:
@@ -247,25 +252,6 @@ def _split_spec(spec: str) -> tuple[str, list[float]]:
         return kind.strip(), [float(tok) for tok in rest.split(",")]
     except ValueError as exc:
         raise ValueError(f"generator spec {spec!r} has non-numeric parameters") from exc
-
-
-def _spec_receivers(spec: str) -> int | None:
-    """The receiver count of the topology a well-formed ``full``, ``diagonal``
-    or Wyner spec builds, read off the spec without building its hearer
-    masks, whose n_r bits each grow with the spec's sizes.
-
-    None for ``random``, whose pruning can drop receivers, and for sizes
-    ``generate`` rejects, which it then reports.
-    """
-    kind, params = _split_spec(spec)
-    if not all(p.is_integer() and p >= 1 for p in params):
-        return None
-    sizes = [int(p) for p in params]
-    if kind == "full" and len(sizes) == 2:
-        return sizes[1]
-    if kind in ("diagonal", "wyner_linear", "wyner_cyclic") and len(sizes) == 1:
-        return sizes[0] + (kind == "wyner_linear")
-    return None
 
 
 def topology_to_dict(topo: Topology) -> dict:

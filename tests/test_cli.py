@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadenet import powerchain, topology
+from fadenet import cli, powerchain, topology
 from fadenet.cli import _json_text, build_parser, main
 from fadenet.fading import FadingModel
 from fadenet.topology import Topology, generate, save_topology
@@ -429,6 +429,22 @@ def test_grid_table_on_out_matches_stdout(capsys, tmp_path, command, fmt):
             assert list(row) == BOUNDS_HEAD + ["per_level_terms", "constants", "feasible"]
         else:
             assert list(row) == BOUNDS_HEAD + ["feasible", "note"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch, command):
+    # POINTS is read before any budget is listed: 10**20 of them would take
+    # the run until it is killed
+    def unbuilt(grid):
+        raise AssertionError("the oversized grid was built")
+
+    monkeypatch.setattr(cli, "_check_grid", unbuilt)
+    for points in (10**6 + 1, 10**20):
+        code, out, err = run(
+            capsys, command, "--gen", "diagonal:2", "--grid", f"8,16,{points}", "--seed", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --grid POINTS {points} exceeds the limit of 1000000\n"
 
 
 @pytest.mark.parametrize(

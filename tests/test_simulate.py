@@ -505,9 +505,9 @@ class TestInterfererQuadrature:
         rng = np.random.default_rng(7)
         for rule, (x_lo, x_hi) in zip(rules, alloc.levels):
             # the rules read squared magnitudes: |x|^2, |y - mu x|^2 and |y|^2
-            r2 = simulate._log_uniform_magnitudes(rng, x_lo, x_hi, (400,)) ** 2
-            d2 = simulate._log_uniform_magnitudes(rng, 1e-4, 1e4 * x_hi, (400,)) ** 2
-            a2 = simulate._log_uniform_magnitudes(rng, 1e-4, 1e4 * x_hi, (400,)) ** 2
+            r2 = simulate._log_uniform_quantile(rng.random(400), x_lo, x_hi) ** 2
+            d2 = simulate._log_uniform_quantile(rng.random(400), 1e-4, 1e4 * x_hi) ** 2
+            a2 = simulate._log_uniform_quantile(rng.random(400), 1e-4, 1e4 * x_hi) ** 2
             rows = [slice(i, i + 1) for i in range(len(a2))]
             cond = np.concatenate([rule.log_conditional(d2[i], r2[i]) for i in rows])
             marg = np.concatenate([rule.log_marginal(a2[i]) for i in rows])
@@ -875,6 +875,35 @@ class TestSnrSweep:
         serial = snr_sweep(model, grid, 400, 120, seed=77, workers=1)
         pooled = snr_sweep(model, grid, 400, 120, seed=77, workers=4)
         assert repr(serial) == repr(pooled)
+
+    @pytest.mark.parametrize("cores, workers, threads", [(3, 10**6, 3), (None, 10**6, 1), (3, 2, 2)])
+    def test_pool_is_capped_at_the_cpu_count(
+        self, pair_network, monkeypatch, cores, workers, threads
+    ):
+        # a stub pool records its size and maps the tasks serially, so no
+        # thread is started whatever the count asked for
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+        grid = [1e5, 1e8, 1e10]
+        records = snr_sweep(pair_network, grid, 400, 120, seed=77, workers=workers)
+        assert sizes == [threads]
+        monkeypatch.undo()
+        assert repr(records) == repr(snr_sweep(pair_network, grid, 400, 120, seed=77))
 
     def test_chunked_quadrature_levels_keep_the_contract(self, pair_network, monkeypatch):
         # a quadrature level evaluates its lattice rows in blocks of the

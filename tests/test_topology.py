@@ -10,6 +10,7 @@ from fadenet.powerchain import PowerChain, decompose, is_power_chain, validate_c
 from fadenet.topology import (
     GENERATOR_KINDS,
     Topology,
+    _shape,
     generate,
     load_topology,
     parse_generator_spec,
@@ -205,6 +206,54 @@ def test_bool_seed_is_rejected():
     with pytest.raises(ValueError, match="seed must be an integer"):
         generate("random", 3, 3, 0.5, seed=True)
     assert generate("random", 3, 3, 0.5, seed=np.int64(1)) == generate("random", 3, 3, 0.5, seed=1)
+
+
+def test_shape_is_what_generate_builds():
+    # the CLI sizes a spec by _shape before it builds the spec's masks
+    for n in range(1, 31):
+        for size in (int, float):
+            for kind, params in (
+                ("full", (size(n), size(31 - n))),
+                ("diagonal", (size(n),)),
+                ("wyner_linear", (size(n),)),
+                ("wyner_cyclic", (size(n),)),
+            ):
+                topo = generate(kind, *params)
+                assert _shape(kind, params) == (topo.n_t, topo.n_r), (kind, params)
+    # random's shape is the draw's, before pruning, which may drop every node
+    assert _shape("random", (4, 5, 1.0), seed=0) == (4, 5)
+    assert generate("random", 4, 5, 1.0, seed=0).is_empty
+    assert _shape("random", (22.0, 30, 0.8), seed=5) == (22, 30)
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed",
+    [
+        ("full", (3,), None),  # wrong parameter counts
+        ("diagonal", (2, 2), None),
+        ("random", (3, 3), 1),
+        ("diagonal", (0,), None),  # size 0
+        ("full", (2, 0), None),
+        ("random", (0, 3, 0.5), 1),
+        ("wyner_linear", (1.5,), None),  # size 1.5
+        ("random", (3, 1.5, 0.5), 1),
+        ("wyner_cyclic", (True,), None),  # bool sizes
+        ("full", (2, np.True_), None),
+        ("random", (3, 3, "0.5"), 1),  # p a string
+        ("random", (3, 3, 1.5), 1),  # p outside [0, 1]
+        ("random", (3, 3, -0.1), 1),
+        ("random", (3, 3, 0.5), None),  # missing seed
+        ("diagonal", (3,), 1.0),  # non-integer seeds
+        ("random", (3, 3, 0.5), "1"),
+        ("hexagonal", (3,), None),  # unknown kind
+    ],
+)
+def test_shape_refuses_what_generate_refuses(kind, params, seed):
+    with pytest.raises(ValueError) as built:
+        generate(kind, *params, seed=seed)
+    with pytest.raises(ValueError) as sized:
+        _shape(kind, params, seed)
+    assert str(sized.value) == str(built.value)
 
 
 def test_parse_generator_spec():
