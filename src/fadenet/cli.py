@@ -5,7 +5,9 @@ Four subcommands: ``kappa`` (longest-chain computation), ``decompose``
 (analytic bound evaluation over an SNR grid), and ``sweep`` (bounds plus the
 Monte Carlo estimate).  Both grid tables, CSV or JSON, are written by the one
 writer ``_write_grid``; this module is the only one that knows their format.
-Every JSON document the commands print is written by ``_json_text``.
+Every JSON document the commands print is written by ``_json_text``, whose
+domain is what those documents hold: dicts with string keys, lists, strings,
+ints, floats, booleans and null.
 
 Every stochastic run demands an explicit --seed and is then bit-reproducible,
 including under --workers parallelism.  Exit codes: 0 success, 2 bad input,
@@ -230,17 +232,17 @@ def _json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, without the standard
     library's pure-Python encoder, which ``indent`` selects.
 
-    Scalars are dispatched as ``json`` does: bool before int, float
-    subclasses (numpy's float64 too) through ``float.__repr__`` with NaN and
-    +-Infinity, tuples as lists, and any other type raises TypeError.
-    ``newline`` is the line break plus the indent of the enclosing level.
+    Takes exactly what fadenet's documents hold, by exact type: a dict with
+    str keys, a list, a str, int, float, bool or None; anything else raises
+    TypeError.  ``newline`` is the line break plus the indent of the
+    enclosing level.
     """
     encode = _JSON_SCALARS.get(type(value))
     if encode is not None:
         return encode(value)
     inner = newline + "  "
     scalar = _JSON_SCALARS.get
-    if isinstance(value, (list, tuple)):
+    if type(value) is list:
         if not value:
             return "[]"
         items = [
@@ -248,23 +250,16 @@ def _json_text(value, newline: str = "\n") -> str:
             for item in value
         ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
+    if type(value) is dict:
         if not value:
             return "{}"
         items = [
-            _json_key(key)
+            encode_basestring_ascii(key)
             + ": "
             + (leaf(item) if (leaf := scalar(type(item))) else _json_text(item, inner))
             for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    # subclasses of the scalar types, in json's order
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
@@ -284,16 +279,6 @@ _JSON_SCALARS = {
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json`` writes it: a string, or the quoted text of a
-    float, int, bool or None."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(_json_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _emit_json(doc, out: str | None) -> None:
@@ -439,9 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    except (ArithmeticError, MemoryError) as exc:
+    except (ArithmeticError, MemoryError, RecursionError) as exc:
         # last resort: an input beyond double range (a huge --grid exponent,
-        # a kappa* whose feasibility threshold overflows) or beyond memory (a
-        # huge --outer) is still bad input
+        # a kappa* whose feasibility threshold overflows), beyond memory (a
+        # huge --outer) or nested past the parser's depth is still bad input
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_INPUT

@@ -542,22 +542,20 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308]),
 )
+# the writer's domain, which is what fadenet's documents hold
 _SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.integers(min_value=-(10**40), max_value=10**40),
     _FLOATS,
-    _FLOATS.map(np.float64),
     _TEXT,
 )
-_KEYS = st.one_of(_TEXT, st.booleans(), st.none(), st.integers(), _FLOATS)
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
-        st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(_KEYS, inner, max_size=5),
+        st.dictionaries(_TEXT, inner, max_size=5),
     ),
     max_leaves=30,
 )
@@ -588,3 +586,88 @@ def test_json_writer_rejects_what_json_dumps_rejects(value):
         json.dumps(value, indent=2)
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(1, 2), np.float64(1.0), {1: 2}, {True: 1}],
+    ids=["tuple", "np.float64", "int key", "bool key"],
+)
+def test_json_writer_rejects_what_no_document_holds(value):
+    # json.dumps takes each of these; the writer's domain is what fadenet prints
+    json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+Z_CHANNEL = str(Path(__file__).resolve().parents[1] / "perfbench" / "z_channel.json")
+_SWEEP_JSON = ("--outer", "300", "--inner", "100", "--format", "json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "--gen", "wyner_cyclic:6"],
+        ["kappa", "--topo", Z_CHANNEL],
+        ["kappa", "--gen", "random:5,5,0.4", "--seed", "3"],
+        ["decompose", "--gen", "diagonal:3", "--perm", "3,1,2"],
+        ["decompose", "--topo", Z_CHANNEL, "--perm", "2,1"],
+        ["bounds", "--gen", "wyner_linear:3", "--grid", "8,300,7", "--format", "json"],
+        ["bounds", "--topo", Z_CHANNEL, "--model", "MODEL", "--grid", "5,16,4", "--format", "json"],
+        ["bounds", "--gen", "full:2,2", "--grid", "1,16,4", "--format", "json"],
+        ["bounds", "--gen", "random:6,6,0.5", "--seed", "4", "--grid", "40,60,3", "--format", "json"],
+        ["sweep", "--topo", Z_CHANNEL, "--model", "MODEL", "--grid", "8,16,3", "--seed", "1",
+         *_SWEEP_JSON],
+        ["sweep", "--gen", "diagonal:2", "--grid", "5,16,3", "--seed", "2", *_SWEEP_JSON],
+    ],
+)
+def test_every_json_document_is_what_json_dumps_writes(capsys, tmp_path, argv):
+    # between them: --topo, random, infeasible rows, a Rician witness and a
+    # correlated interferer, which takes the sweep's nested path
+    model = tmp_path / "model.json"
+    model.write_text(
+        '{"means": [[1, 1, 1.0, 0.5], [2, 2, 0.0, -0.8]], "covariance": '
+        "[[[1.0, 0.0], [0.3, 0.1], [0.0, 0.0]], [[0.3, -0.1], [1.0, 0.0], [0.0, 0.0]], "
+        "[[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]]}"
+    )
+    code, out, _ = run(capsys, *[str(model) if a == "MODEL" else a for a in argv])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_deeply_nested_json_file_is_input_error(capsys, tmp_path):
+    # json's parser recurses once per level of nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (
+        ["kappa", "--topo", str(deep)],
+        ["bounds", "--gen", "diagonal:2", "--grid", "8,16,3", "--model", str(deep)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: RecursionError: ")
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["kappa"], 3, "error: 26 receivers exceeds the exact-search guard of 24\n"),
+        (["bounds", "--grid", "8,16,3"], 0, ""),
+        (["sweep", "--grid", "8,16,3", "--seed", "1", "--outer", "300", "--inner", "100"],
+         0, "kappa_star=1"),
+        (["decompose", "--perm", "1,2,3"], 2, "error: decompose requires a pruned topology\n"),
+    ],
+    ids=["kappa", "bounds", "sweep", "decompose"],
+)
+def test_guard_counts_named_or_pruned_receivers_by_command(capsys, tmp_path, argv, code, err):
+    # 26 receivers are named and 24 hear someone: kappa guards the named
+    # count, the grid commands the pruned one, and decompose wants no deaf
+    # receiver at all
+    topo = tmp_path / "net.json"
+    zeros = [[r, t] for r in (25, 26) for t in (1, 2, 3)]
+    topo.write_text(json.dumps({"n_t": 3, "n_r": 26, "zeros": zeros}))
+    got_code, out, got_err = run(capsys, argv[0], "--topo", str(topo), *argv[1:])
+    assert got_code == code
+    assert bool(out) == (code == 0)
+    # the sweep's summary line goes on to its fitted slope
+    assert got_err == err or got_err.startswith(err + " ")
