@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .topology import Topology, _is_int
+from .topology import Topology, _is_int, _is_number
 
 __all__ = [
     "FadingModel",
@@ -47,16 +48,16 @@ _RHO_DIVERGENCE_GUARD = 1.0 - 1e-6
 class FadingModel:
     """Gaussian law of the random fading entries of a topology.
 
-    Construction indexes the covariance's independent blocks: the connected
-    components of its nonzero off-diagonal pattern, each a tuple of entry
-    indices in ascending order, blocks ordered by their first index.  Entries
-    of different blocks are independent, so validation and the conditional
-    and mutual-information algebra work block by block.  Validation checks
-    the Hermitian rule of ``np.allclose(cov, cov^H, atol=1e-10)`` on the
-    cells where either side is nonzero (every other cell passes it
-    trivially), a positive real diagonal on each singleton block and a
-    Cholesky factorisation of each larger block, which together hold
-    exactly when the whole matrix is positive definite.
+    Construction labels each entry with its independent block of the
+    covariance, the connected component of its nonzero off-diagonal pattern,
+    by the block's smallest entry index.  Entries of different blocks are
+    independent, so validation and the conditional and mutual-information
+    algebra work block by block.  Validation checks the Hermitian rule of
+    ``np.allclose(cov, cov^H, atol=1e-10)`` on the cells where either side
+    is nonzero (every other cell passes it trivially), a positive real
+    diagonal and a Cholesky factorisation of each block of two or more
+    entries, which together hold exactly when the whole matrix is positive
+    definite.
 
     Args:
         topo: the zero pattern; entries exist only off the zero set.
@@ -72,9 +73,7 @@ class FadingModel:
     ar1_rho: float | None = None
 
     def __post_init__(self) -> None:
-        entries = tuple(self.topo.nonzero_pairs())
-        object.__setattr__(self, "_entries", entries)
-        m = len(entries)
+        m = len(self.entries)
         means = np.array(self.means, dtype=np.complex128).reshape(-1)
         if means.shape != (m,):
             raise ValueError(f"means must have one value per fading entry ({m})")
@@ -98,16 +97,14 @@ class FadingModel:
         cov.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariance", cov)
-        blocks = _independent_blocks(m, rows.tolist(), cols.tolist())
-        block_of = [0] * m
-        for k, block in enumerate(blocks):
-            for i in block:
-                block_of[i] = k
-        object.__setattr__(self, "_block_of", tuple(block_of))
-        singletons = [block[0] for block in blocks if len(block) == 1]
-        if not (cov.real[singletons, singletons] > 0).all():
+        block_of = _independent_blocks(m, rows.tolist(), cols.tolist())
+        object.__setattr__(self, "_block_of", block_of)
+        if not (cov.real.diagonal() > 0).all():
             raise ValueError("covariance is not positive definite")
-        for block in blocks:
+        blocks: dict[int, list[int]] = {}
+        for i, label in enumerate(block_of):
+            blocks.setdefault(label, []).append(i)
+        for block in blocks.values():
             if len(block) > 1:
                 try:
                     np.linalg.cholesky(cov[np.ix_(block, block)])
@@ -121,10 +118,10 @@ class FadingModel:
                 raise ValueError(f"ar1_rho {rho} outside [0, 1)")
             object.__setattr__(self, "ar1_rho", rho)
 
-    @property
+    @cached_property
     def entries(self) -> tuple[tuple[int, int], ...]:
         """Fading entries as (receiver, transmitter) pairs in index order."""
-        return self._entries  # type: ignore[attr-defined]
+        return tuple(self.topo.nonzero_pairs())
 
     @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
@@ -232,10 +229,14 @@ def log_h_squared_mean(mean: complex, variance: float) -> float:
     Exact by the exponential-integral identity: with K = |mean|^2/variance,
     E[log |H|^2] = log(variance) + log K + E1(K).  Below K = 1e-14 the
     K -> 0 limit, log(variance) - Euler-Mascheroni, is returned instead,
-    since log K is undefined at 0.
+    since log K is undefined at 0.  Raises ValueError unless the mean is a
+    finite number (not a bool or a string) and the variance a finite
+    positive real.
     """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
+    if not (isinstance(mean, numbers.Complex) and not isinstance(mean, bool) and cmath.isfinite(mean)):
+        raise ValueError(f"mean {mean!r} must be a finite number")
+    if not (_is_number(variance) and math.isfinite(variance) and variance > 0):
+        raise ValueError(f"variance {variance!r} must be a finite positive real number")
     ratio = abs(complex(mean)) ** 2 / variance
     if ratio < 1e-14:
         return math.log(variance) - _EULER_GAMMA
@@ -288,12 +289,10 @@ def block_mutual_information(
     return max(0.0, total)
 
 
-def _independent_blocks(
-    m: int, rows: list[int], cols: list[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the pattern of nonzero cells (rows[k],
-    cols[k]) over m indices, by union-find: each a tuple of ascending
-    indices, ordered by their first."""
+def _independent_blocks(m: int, rows: list[int], cols: list[int]) -> tuple[int, ...]:
+    """Each of m indices' block label: the smallest index of its connected
+    component of the pattern of nonzero cells (rows[k], cols[k]), found by
+    union-find."""
     root = list(range(m))
 
     def find(i: int) -> int:
@@ -306,10 +305,7 @@ def _independent_blocks(
         ri, rj = find(i), find(j)
         if ri != rj:  # the smaller index roots the union, so roots are minima
             root[max(ri, rj)] = min(ri, rj)
-    blocks: dict[int, list[int]] = {}
-    for i in range(m):
-        blocks.setdefault(find(i), []).append(i)
-    return tuple(map(tuple, blocks.values()))
+    return tuple(map(find, range(m)))
 
 
 def memory_gap_ar1(model: FadingModel) -> float:
@@ -374,12 +370,6 @@ def fading_model_from_dict(topo: Topology, doc: dict) -> FadingModel:
             raise ValueError("covariance must be a list of rows of [re, im] cells") from exc
         cov = np.asarray(cells, dtype=np.complex128)
     return FadingModel.from_mapping(topo, means, cov, doc.get("ar1_rho"))
-
-
-def _is_number(value) -> bool:
-    """Whether a value is a real number, Python's or numpy's: not a bool, a
-    string, bytes or a complex."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _complex_cell(cell) -> complex:

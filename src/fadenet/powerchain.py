@@ -32,7 +32,7 @@ class SizeGuardError(RuntimeError):
     """Raised when an exact algorithm would exceed its configured size guard."""
 
 
-# longest_chain's default guard on the receivers of its 2**n_r state space
+# longest_chain's default guard on the receivers its states can hold
 _MAX_RECEIVERS = 24
 
 
@@ -91,7 +91,8 @@ def _fresh_receivers(topo: Topology, transmitters: Sequence[int]) -> list[int]:
     covered = 0
     fresh = []
     for t in transmitters:
-        topo._check_transmitter(t)
+        if not (_is_int(t) and 1 <= t <= topo.n_t):
+            raise ValueError(f"transmitter index {t!r} is not one of the integers 1..{topo.n_t}")
         if t in seen:
             raise ValueError(f"duplicate transmitter {t} in chain tuple")
         seen.add(t)
@@ -126,19 +127,20 @@ def longest_chain(topo: Topology, *, max_receivers: int = _MAX_RECEIVERS) -> tup
 
     Args:
         topo: the network; unheard transmitters simply never join a chain.
-        max_receivers: guard on the 2**n_r state space; raise it explicitly
-            for larger exact runs.
+        max_receivers: guard on how many receivers hear some transmitter;
+            only those enter a state, so there are at most 2**count states.
+            Raise it explicitly for larger exact runs.
 
     Returns:
         ``(kappa_star, chain)`` with ``len(chain) == kappa_star``.
     """
     if topo.is_empty:
         raise ValueError("longest_chain needs a non-empty topology")
-    _check_receivers(topo.n_r, max_receivers)
     masks = topo.hearer_masks
     heard = 0
     for mask in masks:
         heard |= mask
+    _check_receivers(heard.bit_count(), max_receivers)
     # covered -> [lo, hi, live]: a chain of lo more members is proven to
     # start there, none longer than hi can, and live holds the masks, in
     # transmitter order, that still reach an uncovered receiver

@@ -16,6 +16,7 @@ of them is in a hearing pair, so removing them strands no other node.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -106,10 +107,6 @@ class Topology:
             return False
         masks = self.hearer_masks
         return all(masks) and reduce(or_, masks) == (1 << self.n_r) - 1
-
-    def _check_transmitter(self, t: int) -> None:
-        if not (_is_int(t) and 1 <= t <= self.n_t):
-            raise ValueError(f"transmitter index {t!r} is not one of the integers 1..{self.n_t}")
 
 
 def _check_sizes(n_t, n_r) -> tuple[int, int]:
@@ -225,7 +222,7 @@ def _shape(kind: str, params, seed: int | None = None) -> tuple[int, int]:
         if len(params) != 3:
             raise ValueError("random topology takes (n_t, n_r, p)")
         p = params[2]
-        if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, float, np.integer, np.floating)):
+        if not _is_number(p):
             raise ValueError(f"zero probability must be a number, not {p!r}")
         p = float(p)
         if min(ints) < 1:
@@ -270,6 +267,12 @@ def _is_int(value) -> bool:
     if type(value) is int:
         return True
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """Whether a value is a real number, Python's or numpy's: not a bool, a
+    string, bytes or a complex."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def topology_from_dict(doc: dict) -> Topology:

@@ -310,6 +310,8 @@ _NON_FINITE_ARGUMENTS = {
     "scalar_mi_lower_bound sigma_w": lambda v: scalar_mi_lower_bound(10, 100, 1, v, 0),
     "scalar_mi_lower_bound e_log_h2": lambda v: scalar_mi_lower_bound(10, 100, 1, 1, v),
     "alpha_penalty": alpha_penalty,
+    "log_h_squared_mean mean": lambda v: log_h_squared_mean(v, 1.0),
+    "log_h_squared_mean variance": lambda v: log_h_squared_mean(0.0, v),
 }
 
 
@@ -319,6 +321,13 @@ def test_bound_helpers_reject_non_finite_arguments(argument, value):
     # each once returned nan or inf: NaN passes an "x <= 0" test
     with pytest.raises(ValueError):
         _NON_FINITE_ARGUMENTS[argument](value)
+
+
+@pytest.mark.parametrize("mean", [True, "1"])
+def test_log_h_squared_mean_rejects_bool_and_string_means(mean):
+    # complex() parses both
+    with pytest.raises(ValueError, match="mean"):
+        log_h_squared_mean(mean, 1.0)
 
 
 class TestDualityUpperBound:

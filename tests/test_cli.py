@@ -512,7 +512,7 @@ def test_oversized_spec_is_refused_before_it_is_built(capsys, monkeypatch, argv,
     # neither the hearer masks, nor the zero set, nor a fading model over the
     # network's entries may be built before the refusal
     with pytest.raises(powerchain.SizeGuardError) as guard:
-        powerchain.longest_chain(Topology._from_masks(1, n_r, (1,)))
+        powerchain._check_receivers(n_r)
 
     def unbuilt(*args, **kwargs):
         raise AssertionError("the oversized network was built")
@@ -651,7 +651,7 @@ def test_deeply_nested_json_file_is_input_error(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv,code,err",
     [
-        (["kappa"], 3, "error: 26 receivers exceeds the exact-search guard of 24\n"),
+        (["kappa"], 0, ""),
         (["bounds", "--grid", "8,16,3"], 0, ""),
         (["sweep", "--grid", "8,16,3", "--seed", "1", "--outer", "300", "--inner", "100"],
          0, "kappa_star=1"),
@@ -660,9 +660,9 @@ def test_deeply_nested_json_file_is_input_error(capsys, tmp_path):
     ids=["kappa", "bounds", "sweep", "decompose"],
 )
 def test_guard_counts_named_or_pruned_receivers_by_command(capsys, tmp_path, argv, code, err):
-    # 26 receivers are named and 24 hear someone: kappa guards the named
-    # count, the grid commands the pruned one, and decompose wants no deaf
-    # receiver at all
+    # 26 receivers are named and 24 hear someone: kappa guards the hearing
+    # count, the grid commands the pruned one, which is the same, and
+    # decompose wants no deaf receiver at all
     topo = tmp_path / "net.json"
     zeros = [[r, t] for r in (25, 26) for t in (1, 2, 3)]
     topo.write_text(json.dumps({"n_t": 3, "n_r": 26, "zeros": zeros}))

@@ -92,6 +92,8 @@ def test_scalar_statistics_must_be_real_numbers(value):
         FadingModel(topo, np.zeros(2), np.eye(2), ar1_rho=value)
     with pytest.raises(ValueError, match="variance"):
         FadingModel.iid_rayleigh(topo, variance=value)
+    with pytest.raises(ValueError, match="variance"):
+        log_h_squared_mean(1.0, value)
 
 
 @pytest.mark.parametrize("value", [0, 0.5, np.float32(0.5), np.float64(0.25), np.int64(0)])

@@ -209,6 +209,36 @@ def test_size_guards():
     assert brute_force_kappa(generate("diagonal", 4), max_transmitters=4) == 4
 
 
+@st.composite
+def _networks_with_deaf_receivers(draw):
+    n_t = draw(st.integers(1, 5))
+    n_r = draw(st.integers(20, 30))
+    deaf = draw(st.sets(st.integers(1, n_r), max_size=7))
+    # every other receiver hears a nonempty set of transmitters
+    heard_by = {
+        r: draw(st.integers(1, 2**n_t - 1)) for r in range(1, n_r + 1) if r not in deaf
+    }
+    zeros = {
+        (r, t)
+        for r in range(1, n_r + 1)
+        for t in range(1, n_t + 1)
+        if not heard_by.get(r, 0) >> (t - 1) & 1
+    }
+    return Topology(n_t=n_t, n_r=n_r, zeros=frozenset(zeros))
+
+
+@given(_networks_with_deaf_receivers())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_guard_counts_the_receivers_that_hear(topo):
+    # a deaf receiver never enters a search state, wherever it sits
+    pruned = prune(topo)
+    if pruned.n_r > 24:
+        with pytest.raises(SizeGuardError):
+            longest_chain(topo)
+    else:
+        assert longest_chain(topo)[0] == longest_chain(pruned)[0]
+
+
 def test_longest_chain_empty_topology():
     empty = prune(Topology(n_t=1, n_r=1, zeros=frozenset({(1, 1)})))
     with pytest.raises(ValueError):

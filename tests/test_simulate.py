@@ -743,6 +743,38 @@ class TestClosedFormMarginal:
         )
         assert simulate._log_scaled_ei(np.empty(0)).shape == (0,)
 
+    def test_scaled_ei_series_to_full_precision(self):
+        # log(q e^-q Ei(q)) from mpmath at 50 digits, rounded to floats:
+        # mpmath.log(q * mpmath.exp(-q) * mpmath.ei(q)) with mp.dps = 50 at
+        # each float q below.  Together and one at a time, since a q evaluated
+        # beside a smaller one runs as many terms as the smallest needs
+        q = np.concatenate([np.geomspace(40.0, 1e8, 58), [40.5, 41.0]])
+        expected = np.array([
+            0.026013214785952192, 0.01989916061908807, 0.015257815131746974,
+            0.011719258133259325, 0.009012971423316373, 0.006938372829148056,
+            0.005345235503284836, 0.004120209627978784, 0.003177295319562497,
+            0.0024509708095226176, 0.001891158242496878, 0.0014594912501746827,
+            0.001126521963491376, 0.000869616013019408, 0.0006713572527367722,
+            0.0005183335992812202, 0.00040020987821124754, 0.00030901802265942527,
+            0.00023861259649110716, 0.00018425249736611822, 0.00014227921900635202,
+            0.00010986915752936075, 8.484278726594556e-05, 6.55175691218482e-05,
+            5.059452136949627e-05, 3.9070720736222566e-05, 3.0171789129085986e-05,
+            2.329979099709013e-05, 1.799301767815605e-05, 1.3894943186693465e-05,
+            1.0730257699859162e-05, 8.286363841013277e-06, 6.399089840804604e-06,
+            4.94165812397248e-06, 3.816167264546181e-06, 2.9470145091648363e-06,
+            2.2758166752178254e-06, 1.7574880309351082e-06, 1.3572115713319105e-06,
+            1.0481001684377237e-06, 8.093904460358474e-07, 6.25048031941268e-07,
+            4.826904848598612e-07, 3.7275553813338394e-07, 2.878587848441117e-07,
+            2.222976560728714e-07, 1.7166837214666902e-07, 1.3257013603219188e-07,
+            1.023766986462075e-07, 7.905995156603833e-08, 6.105369751191471e-08,
+            4.7148447842051176e-08, 3.641018046517162e-08, 2.8117601046186827e-08,
+            2.1713693278410243e-08, 1.676830381247339e-08, 1.2949248643114462e-08,
+            1.0000000150000004e-08, 0.025678687474114593, 0.025352668981688732,
+        ])
+        np.testing.assert_allclose(simulate._log_scaled_ei(q), expected, rtol=0, atol=1e-16)
+        alone = [simulate._log_scaled_ei(q[i : i + 1])[0] for i in range(q.size)]
+        np.testing.assert_allclose(alone, expected, rtol=0, atol=1e-16)
+
     @pytest.mark.parametrize("snr", [1e8, 1e16])
     def test_marginal_blocks_fit_the_interferer_rule(self, snr, monkeypatch):
         # the marginal's log-sum-exp runs over the interferer nodes alone

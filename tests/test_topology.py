@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,11 +147,13 @@ def test_families_match_their_zero_pair_oracle():
 @pytest.mark.parametrize(
     "n_t,n_r,p,seed",
     [(1, 1, 0.5, 0), (5, 6, 0.5, 1), (12, 9, 0.7, 2), (22, 22, 0.8, 5), (16, 16, 0.3, 5),
-     (20, 3, 0.9, 3), (3, 20, 0.95, 4), (9, 9, 0.0, 6), (9, 9, 1.0, 7), (70, 65, 0.97, 8)],
+     (20, 3, 0.9, 3), (3, 20, 0.95, 4), (9, 9, 0.0, 6), (9, 9, 1.0, 7), (70, 65, 0.97, 8),
+     # any real p, as a Fraction variance is: the network of p = 0.5
+     (5, 5, Fraction(1, 2), 1)],
 )
 def test_random_matches_its_zero_pair_oracle(n_t, n_r, p, seed):
     topo = generate("random", n_t, n_r, p, seed=seed)
-    assert_same_topology(topo, generate_from_zeros("random", n_t, n_r, p, seed=seed))
+    assert_same_topology(topo, generate_from_zeros("random", n_t, n_r, float(p), seed=seed))
 
 
 def test_random_generator_is_seeded_and_pruned():
