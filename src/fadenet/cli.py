@@ -30,7 +30,7 @@ from .bounds import BoundReport, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, _check_receivers, decompose, longest_chain
 from .simulate import _check_grid, fit_loglog_slope, snr_sweep
-from .topology import Topology, load_topology, prune
+from .topology import Topology, prune
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=20000,
         help="outer samples per level: i.i.d. draws on nested-path levels, and "
         "on quadrature levels the points of 16 randomly shifted copies of one "
-        "lattice rule, whose spread gives the stderr",
+        "lattice rule folded by the baker's transform, whose spread gives the "
+        "stderr; under about 1000 a one-interferer level's stderr can exceed "
+        "the unfolded rule's",
     )
     p_sweep.add_argument(
         "--inner",
@@ -150,13 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_topo(args: argparse.Namespace, exact_search: bool = True) -> Topology:
     """The topology of --topo or --gen.  For a command that runs the exact
-    chain search, a deterministic --gen spec is sized by
-    ``topology._shape``, the rule ``generate`` builds it by, and a receiver
-    count over the search's guard is refused before the hearer masks are
-    built.  A ``random`` spec, which pruning may shrink, and a --topo file
-    are guarded once built."""
+    chain search, a receiver count over the search's guard is refused
+    before the hearer masks are built: a --topo file's count of receivers
+    that hear someone, read off its checked zero pairs, and a deterministic
+    --gen spec's n_r, sized by ``topology._shape``, the rule ``generate``
+    builds it by.  A ``random`` spec, which pruning may shrink, is guarded
+    once built."""
     if args.topo is not None:
-        return load_topology(args.topo)
+        n_t, n_r, zeros = topology._load_topology_fields(args.topo)
+        if exact_search:
+            _check_receivers(topology._hearing_receivers(n_t, n_r, zeros))
+        return Topology(n_t, n_r, zeros)
     if args.gen.partition(":")[0].strip() == "random" and args.seed is None:
         raise ValueError("random topologies need --seed")
     kind, params = topology._split_spec(args.gen)

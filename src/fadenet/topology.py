@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -59,10 +60,7 @@ class Topology:
         n_t, n_r = _check_sizes(n_t, n_r)
         masks = [(1 << n_r) - 1] * n_t
         for r, t in zeros:
-            if not (_is_int(r) and _is_int(t)):
-                raise ValueError(f"zero pair {(r, t)!r} must hold integers")
-            if not (1 <= r <= n_r and 1 <= t <= n_t):
-                raise ValueError(f"zero pair {(r, t)} out of range for {n_r}x{n_t} network")
+            _check_pair(r, t, n_t, n_r)
             masks[int(t) - 1] &= ~(1 << (int(r) - 1))
         self._store(n_t, n_r, tuple(masks))
 
@@ -117,6 +115,25 @@ def _check_sizes(n_t, n_r) -> tuple[int, int]:
     if n_t < 0 or n_r < 0:
         raise ValueError("transmitter and receiver counts must be non-negative")
     return int(n_t), int(n_r)
+
+
+def _check_pair(r, t, n_t: int, n_r: int) -> None:
+    """Raise unless (r, t) is a (receiver, transmitter) pair of integers
+    within an n_r x n_t network."""
+    if not (_is_int(r) and _is_int(t)):
+        raise ValueError(f"zero pair {(r, t)!r} must hold integers")
+    if not (1 <= r <= n_r and 1 <= t <= n_t):
+        raise ValueError(f"zero pair {(r, t)} out of range for {n_r}x{n_t} network")
+
+
+def _hearing_receivers(n_t: int, n_r: int, zeros) -> int:
+    """How many receivers hear some transmitter, counted from checked
+    sizes and distinct checked zero pairs without building a mask: a
+    receiver is deaf exactly when all n_t of its pairs are zeros."""
+    if n_t == 0:
+        return 0
+    zeros_at = Counter(r for r, _ in zeros)
+    return n_r - sum(count == n_t for count in zeros_at.values())
 
 
 def _bits(mask: int):
@@ -281,6 +298,12 @@ def topology_from_dict(doc: dict) -> Topology:
     Rejects missing fields, non-integer sizes, malformed pairs, out-of-range
     indices, and duplicated zero entries.
     """
+    return Topology(*_topology_fields(doc))
+
+
+def _topology_fields(doc: dict) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """The sizes and zero pairs of a topology's JSON dictionary form, checked
+    as ``topology_from_dict`` checks them, before any mask is built."""
     if not isinstance(doc, dict):
         raise ValueError("topology document must be a JSON object")
     for key in ("n_t", "n_r", "zeros"):
@@ -299,12 +322,20 @@ def topology_from_dict(doc: dict) -> Topology:
         pairs.append((r, t))
     if len(set(pairs)) != len(pairs):
         raise ValueError("duplicate zero entries in topology document")
-    return Topology(n_t=doc["n_t"], n_r=doc["n_r"], zeros=frozenset(pairs))
+    n_t, n_r = _check_sizes(doc["n_t"], doc["n_r"])
+    for r, t in pairs:
+        _check_pair(r, t, n_t, n_r)
+    return n_t, n_r, frozenset(pairs)
+
+
+def _load_topology_fields(path: str | Path) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """``_topology_fields`` of the JSON file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return _topology_fields(json.load(fh))
 
 
 def load_topology(path: str | Path) -> Topology:
-    with open(path, encoding="utf-8") as fh:
-        return topology_from_dict(json.load(fh))
+    return Topology(*_load_topology_fields(path))
 
 
 def save_topology(topo: Topology, path: str | Path) -> None:

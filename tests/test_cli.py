@@ -525,6 +525,35 @@ def test_oversized_spec_is_refused_before_it_is_built(capsys, monkeypatch, argv,
     assert err == f"error: {guard.value}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa"],
+        ["bounds", "--grid", "8,16,3"],
+        ["sweep", "--grid", "8,16,3", "--seed", "1"],
+    ],
+    ids=["kappa", "bounds", "sweep"],
+)
+def test_oversized_topology_file_is_refused_before_it_is_built(capsys, monkeypatch, tmp_path, argv):
+    # a 42-byte file naming 10**9 receivers, every one of which hears the one
+    # transmitter: its count is read off the zero pairs, and no Topology, and
+    # so no hearer mask of 10**9 bits, is built before the refusal
+    topo = tmp_path / "wide.json"
+    topo.write_text(json.dumps({"n_t": 1, "n_r": 10**9, "zeros": []}))
+    assert topo.stat().st_size == 42
+    with pytest.raises(powerchain.SizeGuardError) as guard:
+        powerchain._check_receivers(10**9)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the oversized network was built")
+
+    monkeypatch.setattr(Topology, "__init__", unbuilt)
+    monkeypatch.setattr(Topology, "_from_masks", unbuilt)
+    code, out, err = run(capsys, argv[0], "--topo", str(topo), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == f"error: {guard.value}\n"
+
+
 def test_decompose_builds_specs_over_the_chain_guard(capsys):
     perm = ",".join(map(str, range(1, 31)))
     code, out, _ = run(capsys, "decompose", "--gen", "diagonal:30", "--perm", perm)

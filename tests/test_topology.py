@@ -11,6 +11,7 @@ from fadenet.powerchain import PowerChain, decompose, is_power_chain, validate_c
 from fadenet.topology import (
     GENERATOR_KINDS,
     Topology,
+    _hearing_receivers,
     _shape,
     generate,
     load_topology,
@@ -360,6 +361,15 @@ def test_hearing_counts_match_zero_count(topo):
         if masks[t - 1] >> (r - 1) & 1
     ]
     assert topo.nonzero_pairs() == hearing
+
+
+@given(zero_sets())
+@settings(max_examples=150, deadline=None)
+def test_hearing_receivers_are_counted_from_the_zero_pairs(case):
+    # the count a --topo file is guarded by before its masks are built: a
+    # receiver is deaf when all n_t of its pairs are zeros
+    assert _hearing_receivers(*case) == prune(Topology(*case)).n_r
+    assert _hearing_receivers(0, case[1], frozenset()) == 0
 
 
 @given(topologies())
