@@ -25,10 +25,11 @@ the inverse CDFs of the magnitude laws (Cranley & Patterson, SIAM J.
 Numer. Anal. 13(6), 1976; L'Ecuyer & Lemieux, Management Science 46(9),
 2000; Hickernell, MCQMC 2000, 2002).  Each replicate's mean is unbiased
 and the replicates are independent, so their mean is the estimate and
-their spread gives its stderr.  The rows are evaluated up to
-``_BLOCK_ELEMENTS`` at a time, so any sample count up to 128 000 is a few
-large numpy calls.  Both densities are deterministic, with the phases
-averaged exactly (a Bessel factor when the fading has a mean): composite
+their spread gives its stderr.  Each density is a plain array function
+of one entry per row, and its rule states how many rows one call may take
+within ``_BLOCK_ELEMENTS``; ``_quadrature_terms`` is the one loop over a
+level's rows, in blocks of that many.  Both densities are deterministic,
+with the phases averaged exactly (a Bessel factor when the fading has a mean): composite
 Gauss-Legendre over the interferer's log-magnitude, and over the target's
 log-magnitude an exact average through the exponential integral on every
 row when the fading has zero mean, and Gauss-Legendre with a mean.  Other
@@ -95,12 +96,11 @@ _GL_NODES_PER_PANEL = 8
 _GL_RICIAN_PANELS = 2.5
 # array elements evaluated at once: outer rows times quadrature nodes, or
 # outer rows times inner draws on the nested path (64 rows at the default
-# m_inner of 2000).  A zero-mean closed-form marginal takes rows times the
-# interferer nodes (one with no interferer), and its convergent series
-# pairs times their tier's terms; a Rician marginal takes rows times
-# the s nodes times the interferer nodes.  It also sizes the scratch block
-# (two) that each Rician log f(y) call allocates, and caps the outer rows
-# a quadrature level evaluates at once
+# m_inner of 2000).  A quadrature rule's ``rows`` is the outer rows one
+# density call may take: an eighth of this over the interferer nodes (one
+# with no interferer), and on a Rician rule at most this over the s nodes
+# times the interferer nodes.  The zero-mean marginal's convergent series
+# takes pairs times their tier's terms
 _BLOCK_ELEMENTS = 128_000
 # zero-mean closed form of the s-average (``_magnitude_quadrature``): the
 # asymptotic series of e^-q Ei(q) is used from this q on and summed until a
@@ -260,6 +260,8 @@ def _log_scaled_ei(q: np.ndarray) -> np.ndarray:
 class _MagnitudeQuadrature(NamedTuple):
     log_conditional: Callable[[np.ndarray, np.ndarray], np.ndarray]
     log_marginal: Callable[[np.ndarray], np.ndarray]
+    # the most outer rows one call of either density may take
+    rows: int
 
 
 def _magnitude_quadrature(
@@ -277,7 +279,8 @@ def _magnitude_quadrature(
 
     Both densities read magnitudes only: ``log_conditional(d2, r2)`` takes
     d2 = |y - mu x|^2 and r2 = |x|^2, and ``log_marginal(a2)`` takes
-    a2 = |y|^2, each a real array with one entry per outer row.
+    a2 = |y|^2, each a real array with one entry per outer row, and at most
+    the rule's ``rows`` rows per call.
 
     Given |x| = r and |xi| = rho the phase averages are closed form,
         f(y | r, rho) = exp(-(|y|^2 + |mu|^2 r^2) / v) I0(z) / (pi v),
@@ -326,25 +329,24 @@ def _magnitude_quadrature(
             math.log(xi_lo), math.log(xi_hi), _GL_PANEL_WIDTH * (a_min + b_max) / b_max
         )
         b = sigma2 * np.exp(2.0 * s_b)
-    # rows per block of a rule over the interferer nodes alone: an eighth of
+    # rows per call of a rule over the interferer nodes alone: an eighth of
     # the element budget, since the closed form below keeps up to about ten
     # arrays of that shape alive at once.  On perfbench's mc_interf sweep
     # (2 workers, 2-core VM) a 32nd took 0.023 s and 64.0 MiB of peak RSS, an
     # eighth 0.015 s and 65.1 MiB, and a quarter 0.016 s and 65.1 MiB
-    b_rows = max(1, _BLOCK_ELEMENTS // (8 * len(b)))
+    rows = max(1, _BLOCK_ELEMENTS // (8 * len(b)))
 
     def log_conditional(d2: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        out = np.empty(len(d2))
-        for i in range(0, len(d2), b_rows):
-            var = (1.0 + eps2 * r2[i : i + b_rows])[:, None] + b
-            comp = log_wb - np.log(math.pi * var) - d2[i : i + b_rows, None] / var
-            # a one-node rule (no interferer) needs no logsumexp
-            out[i : i + b_rows] = comp[:, 0] if len(b) == 1 else _logsumexp_rows(comp)
-        return out
+        var = (1.0 + eps2 * r2)[:, None] + b
+        comp = log_wb - np.log(math.pi * var) - d2[:, None] / var
+        # a one-node rule (no interferer) needs no logsumexp
+        return comp[:, 0] if len(b) == 1 else _logsumexp_rows(comp)
 
     if mu != 0:
+        log_marginal, nodes = _rician_marginal(mu, eps2, x_lo, x_hi, b, log_wb)
+        # the tensor rule's rows times its nodes fill the element budget
         return _MagnitudeQuadrature(
-            log_conditional, _rician_marginal(mu, eps2, x_lo, x_hi, b, log_wb)
+            log_conditional, log_marginal, min(rows, max(1, _BLOCK_ELEMENTS // nodes))
         )
 
     # per interferer node: c, and q / a^2 at both ends of v's range and
@@ -398,36 +400,32 @@ def _magnitude_quadrature(
         return out
 
     def log_marginal(a2: np.ndarray) -> np.ndarray:
-        out = np.empty(len(a2))
-        for i in range(0, len(a2), b_rows):
-            a2_rows = a2[i : i + b_rows]
-            a2_col = a2_rows[:, None]
-            q_lo, q_hi, delta = a2_col * q_lo_unit, a2_col * q_hi_unit, a2_col * delta_unit
-            # the pairs the asymptotic form misses, as flat indices
-            other = np.flatnonzero((q_lo < _EI_SERIES_MIN) | (delta < _EI_MIN_DELTA))
-            if other.size:
-                rows, node = np.divmod(other, len(b))
-                patch = other_pairs(
-                    a2_rows.take(rows), node, q_lo.take(other), q_hi.take(other), delta.take(other)
-                )
-                patch += log_scale[node]
-                # values the asymptotic form takes cheaply and finitely (six
-                # terms of the series) on the pairs the patch then overwrites
-                q_lo.put(other, 1e4)
-                q_hi.put(other, 1e4 + 1.0)
-                delta.put(other, 1.0)
-            log_s_hi = _log_scaled_ei(q_hi)
-            # log(e^-p G(q)) at v_hi less the same at v_lo: positive, and at
-            # least about 1e-3
-            log_ratio = delta - np.log1p(delta / q_lo) + log_s_hi - _log_scaled_ei(q_lo)
-            terms = log_scale - a2_col / v_hi - np.log(q_hi) + log_s_hi
-            terms += np.log(-np.expm1(-log_ratio))
-            if other.size:
-                terms.put(other, patch)
-            out[i : i + len(a2_col)] = terms[:, 0] if len(b) == 1 else _logsumexp_rows(terms)
-        return out
+        a2_col = a2[:, None]
+        q_lo, q_hi, delta = a2_col * q_lo_unit, a2_col * q_hi_unit, a2_col * delta_unit
+        # the pairs the asymptotic form misses, as flat indices
+        other = np.flatnonzero((q_lo < _EI_SERIES_MIN) | (delta < _EI_MIN_DELTA))
+        if other.size:
+            at, node = np.divmod(other, len(b))
+            patch = other_pairs(
+                a2.take(at), node, q_lo.take(other), q_hi.take(other), delta.take(other)
+            )
+            patch += log_scale[node]
+            # values the asymptotic form takes cheaply and finitely (six
+            # terms of the series) on the pairs the patch then overwrites
+            q_lo.put(other, 1e4)
+            q_hi.put(other, 1e4 + 1.0)
+            delta.put(other, 1.0)
+        log_s_hi = _log_scaled_ei(q_hi)
+        # log(e^-p G(q)) at v_hi less the same at v_lo: positive, and at
+        # least about 1e-3
+        log_ratio = delta - np.log1p(delta / q_lo) + log_s_hi - _log_scaled_ei(q_lo)
+        terms = log_scale - a2_col / v_hi - np.log(q_hi) + log_s_hi
+        terms += np.log(-np.expm1(-log_ratio))
+        if other.size:
+            terms.put(other, patch)
+        return terms[:, 0] if len(b) == 1 else _logsumexp_rows(terms)
 
-    return _MagnitudeQuadrature(log_conditional, log_marginal)
+    return _MagnitudeQuadrature(log_conditional, log_marginal, rows)
 
 
 def _ei_series(x: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -454,53 +452,31 @@ def _ei_series(x: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> np.ndarr
 
 def _rician_marginal(
     mu: complex, eps2: float, x_lo: float, x_hi: float, b: np.ndarray, log_wb: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``_magnitude_quadrature``'s log f(y) with a fading mean: the tensor
-    product of composite Gauss-Legendre over s = log|x| with the rule over
-    the interferer nodes, whose output-variance terms are b and log-weights
-    log_wb."""
+) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """``_magnitude_quadrature``'s log f(y) with a fading mean, and its node
+    count: the tensor product of composite Gauss-Legendre over s = log|x|
+    with the rule over the interferer nodes, whose output-variance terms are
+    b and log-weights log_wb."""
     from scipy.special import i0e
 
     # nodes flattened target-major, interferer-minor: each node's output
-    # variance, log-weight less log(pi v), and |mu| r; and the rows per
-    # block that fill the element budget
+    # variance, log-weight less log(pi v), and |mu| r
     max_width = min(_GL_PANEL_WIDTH, _GL_RICIAN_PANELS * math.sqrt(eps2) / abs(mu))
     s, log_w = _gl_rule(math.log(x_lo), math.log(x_hi), max_width)
     r = np.exp(s)
     v = ((1.0 + eps2 * r * r)[:, None] + b).ravel()
     base = (log_w[:, None] + log_wb).ravel() - np.log(math.pi * v)
     mu_r = np.repeat(abs(mu) * r, len(b))
-    rows = max(1, _BLOCK_ELEMENTS // len(v))
 
     def log_marginal(a2: np.ndarray) -> np.ndarray:
-        out = np.empty(len(a2))
-        # scratch for the exponents and the Bessel arguments, made per call
-        # so that sweep threads never share one, and reused by every block:
-        # on a 20 000-sample Rician full:1,1 sweep with two workers, a plain
-        # expression raised peak RSS by about 5 MiB and fresh arrays freed
-        # after each block by about 1 MiB, and neither ran faster
-        block = np.empty((min(rows, len(a2)), len(v)))
-        z_block = np.empty_like(block)
-        for i in range(0, len(a2), rows):
-            a = np.sqrt(a2[i : i + rows])[:, None]
-            e = block[: len(a)]
-            # -(a^2 + mu_r^2) / v + log I0(z) = -(a - mu_r)^2 / v + log i0e(z),
-            # with z = 2 mu_r a / v, which avoids cancelling two large terms
-            np.subtract(a, mu_r, out=e)
-            np.square(e, out=e)
-            np.divide(e, v, out=e)
-            np.subtract(base, e, out=e)
-            z = z_block[: len(a)]
-            np.multiply(mu_r, a, out=z)
-            z *= 2.0
-            np.divide(z, v, out=z)
-            i0e(z, out=z)
-            np.log(z, out=z)
-            e += z
-            out[i : i + rows] = _logsumexp_rows(e)
-        return out
+        a = np.sqrt(a2)[:, None]
+        # -(a^2 + mu_r^2) / v + log I0(z) = -(a - mu_r)^2 / v + log i0e(z),
+        # with z = 2 mu_r a / v, which avoids cancelling two large terms
+        e = base - np.square(a - mu_r) / v
+        e += np.log(i0e(mu_r * a * 2.0 / v))
+        return _logsumexp_rows(e)
 
-    return log_marginal
+    return log_marginal, len(v)
 
 
 def _output_law(mu: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -640,8 +616,9 @@ def _quadrature_terms(
     row is finite: the fold's one point at 1 is kept below it, where the
     exponential's inverse CDF is finite, and a zero output is in the
     marginal's domain.  The points are made at once (at most four times the
-    memory of the rows' values) and evaluated in blocks of at most
-    ``_BLOCK_ELEMENTS`` rows.
+    memory of the rows' values); this is the level's one loop over its rows,
+    in blocks of the rule's ``rows``, so that no density call outgrows the
+    element budget.
     """
     mu, eps2 = level.mu[0], level.eps2
     sigma2 = level.sigma[1:, 1:].trace().real
@@ -649,8 +626,8 @@ def _quadrature_terms(
     rule = _magnitude_quadrature(mu, eps2, x_lo, x_hi, sigma2, *windows)
     points = _folded_lattice(rng, n_outer, 2 + len(windows) + int(mu != 0))
     vals = np.empty(n_outer)
-    for lo in range(0, n_outer, _BLOCK_ELEMENTS):
-        u = points[:, lo : lo + _BLOCK_ELEMENTS]
+    for lo in range(0, n_outer, rule.rows):
+        u = points[:, lo : lo + rule.rows]
         r = _log_uniform_quantile(u[0], x_lo, x_hi)
         r2 = r * r
         v = 1.0 + eps2 * r2

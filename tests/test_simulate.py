@@ -314,26 +314,6 @@ class TestMagnitudeQuadrature:
                 fine = estimate_pair_mi(model, chain, alloc, 1, 100, 100, seed=6)
             assert abs(fine.value - base.value) < 1e-6, (snr, base, fine)
 
-    def test_rician_blocks_fit_the_element_budget(self, scalar_setup, monkeypatch):
-        # K = 1e4 at E = 1e16 narrows the s panels to 0.025: thousands of
-        # nodes per row, so a block holds a few dozen rows
-        topo, _, chain = scalar_setup
-        model = FadingModel.from_mapping(topo, means={(1, 1): 100.0})
-        shapes = []
-        kernel = simulate._logsumexp_rows
-
-        def recording(block):
-            shapes.append(block.shape)
-            return kernel(block)
-
-        monkeypatch.setattr(simulate, "_logsumexp_rows", recording)
-        estimate_pair_mi(model, chain, allocation(1e16, 1), 1, 300, 100, seed=3)
-        columns = {shape[1] for shape in shapes}
-        assert len(columns) == 1 and columns.pop() >= 1000, shapes
-        assert sum(rows for rows, _ in shapes) == 300
-        assert len(shapes) > 1
-        assert max(math.prod(shape) for shape in shapes) <= simulate._BLOCK_ELEMENTS
-
 
 class TestLogsumexpRows:
     """The quadrature's own row-wise log-sum-exp, against scipy's."""
@@ -618,25 +598,28 @@ class TestMagnitudeDraw:
         n = 20_000
 
         # the magnitude draw, read off the arguments the rule's densities get
-        drawn = {}
+        # in all their calls
+        calls = {"d2": [], "r2": [], "a2": []}
         real = simulate._magnitude_quadrature
 
         def recording(*args):
             rule = real(*args)
 
             def log_conditional(d2, r2):
-                drawn.update(d2=d2.copy(), r2=r2.copy())
+                calls["d2"].append(d2.copy())
+                calls["r2"].append(r2.copy())
                 return rule.log_conditional(d2, r2)
 
             def log_marginal(a2):
-                drawn.update(a2=a2.copy())
+                calls["a2"].append(a2.copy())
                 return rule.log_marginal(a2)
 
-            return simulate._MagnitudeQuadrature(log_conditional, log_marginal)
+            return rule._replace(log_conditional=log_conditional, log_marginal=log_marginal)
 
         monkeypatch.setattr(simulate, "_magnitude_quadrature", recording)
         estimate_pair_mi(model, chain, alloc, nu, n, 100, seed=31)
-        assert set(drawn) == {"d2", "r2", "a2"}
+        drawn = {name: np.concatenate(blocks) for name, blocks in calls.items()}
+        assert all(len(values) == n for values in drawn.values())
 
         # the complex draw: inputs with their phases, through _output_law
         level = _chain_level(model, chain, nu)
@@ -781,8 +764,7 @@ class TestClosedFormMarginal:
         # the marginal's log-sum-exp runs over the interferer nodes alone
         # (none with no interferer), and a zero-mean level builds no tensor
         # rule for any row.  At unit variances level 1's interferer axis is a
-        # single panel.  The densities are evaluated over all outer rows at
-        # once, in blocks of at most the element budget
+        # single panel
         topo = _z_channel()
         model = FadingModel.iid_rayleigh(topo)
         _, chain = longest_chain(topo)
@@ -802,7 +784,6 @@ class TestClosedFormMarginal:
             monkeypatch.setattr(simulate, "_logsumexp_rows", recording)
             estimate_pair_mi(model, chain, allocation(snr, 2), nu, 20_000, 100, seed=3)
             assert all(columns == nodes for _, columns in shapes), (nu, shapes)
-            assert all(math.prod(shape) <= simulate._BLOCK_ELEMENTS for shape in shapes)
             assert (nu == 1) == bool(shapes)
 
 
@@ -917,7 +898,7 @@ class TestLatticeRule:
                 rows["marginal"] += len(a2)
                 return rule.log_marginal(a2)
 
-            return simulate._MagnitudeQuadrature(log_conditional, log_marginal)
+            return rule._replace(log_conditional=log_conditional, log_marginal=log_marginal)
 
         monkeypatch.setattr(simulate, "_magnitude_quadrature", recording)
         model = FadingModel.iid_rayleigh(_z_channel())
@@ -961,7 +942,7 @@ class TestSnrSweep:
 
     def test_worker_count_never_changes_bytes_on_a_rician_interferer_level(self):
         # level 1 of this Z-channel has d = 1 and a fading mean, so each
-        # quadrature call fills two scratch blocks of its own
+        # quadrature call runs the tensor rule on arrays of its own
         topo = _z_channel()
         model = FadingModel.from_mapping(topo, means={(1, 1): 1.0 + 0.5j, (2, 2): -0.8j})
         grid = [1e8, 1e12, 1e16]
@@ -1007,32 +988,54 @@ class TestSnrSweep:
         monkeypatch.undo()
         assert repr(records) == repr(snr_sweep(pair_network, grid, 400, 120, seed=77))
 
-    def test_chunked_quadrature_levels_keep_the_contract(self, pair_network, monkeypatch):
-        # a quadrature level evaluates its lattice rows in blocks of the
-        # element budget; shrunk, 3000 rows take 24 blocks per level, and
-        # blocks cut across replicates.  No row's densities depend on its
-        # block, so the records are the one-block records bit for bit, with
-        # one worker or two
+    def test_chunked_quadrature_levels_keep_the_contract(self, monkeypatch):
+        # a quadrature level evaluates its lattice rows in calls of at most
+        # its rule's rows.  On both Z-channels every rule kind runs: d = 0
+        # and d = 1, each zero-mean and Rician.  With the element budget
+        # shrunk, 1000 rows take several calls per level, and the calls cut
+        # across replicates.  No row's densities depend on its call, so the
+        # records are the one-block records bit for bit, with one worker or
+        # two; and no call, nor any log-sum-exp block, outgrows the budget
         grid = [1e8, 1e12, 1e16]
-        whole = snr_sweep(pair_network, grid, 3000, 100, seed=3)
-        blocks = []
-        real = simulate._magnitude_quadrature
+        real, kernel = simulate._magnitude_quadrature, simulate._logsumexp_rows
+        kinds = set()
+        for means in ({}, {(1, 1): 1.0 + 0.5j, (2, 2): -0.8j}):
+            model = FadingModel.from_mapping(_z_channel(), means=means)
+            whole = snr_sweep(model, grid, 1000, 100, seed=3)
+            rules, shapes = [], []
 
-        def recording(*args):
-            rule = real(*args)
+            def recording(mu, eps2, x_lo, x_hi, sigma2, xi_window=None):
+                rule = real(mu, eps2, x_lo, x_hi, sigma2, xi_window)
+                calls = []
+                rules.append((rule.rows, calls))
+                kinds.add((xi_window is not None, mu != 0))
 
-            def log_conditional(d2, r2):
-                blocks.append(len(d2))
-                return rule.log_conditional(d2, r2)
+                def log_conditional(d2, r2):
+                    calls.append(len(d2))
+                    return rule.log_conditional(d2, r2)
 
-            return simulate._MagnitudeQuadrature(log_conditional, rule.log_marginal)
+                def log_marginal(a2):
+                    assert len(a2) == calls[-1]
+                    return rule.log_marginal(a2)
 
-        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 128)
-        monkeypatch.setattr(simulate, "_magnitude_quadrature", recording)
-        serial = snr_sweep(pair_network, grid, 3000, 100, seed=3, workers=1)
-        assert blocks == ([128] * 23 + [56]) * 6
-        pooled = snr_sweep(pair_network, grid, 3000, 100, seed=3, workers=2)
-        assert repr(serial) == repr(whole) == repr(pooled)
+                return rule._replace(log_conditional=log_conditional, log_marginal=log_marginal)
+
+            def recording_rows(block):
+                shapes.append(block.shape)
+                return kernel(block)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_BLOCK_ELEMENTS", 4096)
+                patch.setattr(simulate, "_magnitude_quadrature", recording)
+                patch.setattr(simulate, "_logsumexp_rows", recording_rows)
+                serial = snr_sweep(model, grid, 1000, 100, seed=3, workers=1)
+                assert len(rules) == 6
+                for rows, calls in rules:
+                    assert len(calls) > 1 and max(calls) <= rows and sum(calls) == 1000
+                assert shapes and max(math.prod(shape) for shape in shapes) <= 4096
+                pooled = snr_sweep(model, grid, 1000, 100, seed=3, workers=2)
+            assert repr(serial) == repr(whole) == repr(pooled)
+        assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
     def test_slope_spread_across_seeds(self, pair_network):
         # criterion 6c's sweep (diagonal:2, --grid 8,16,5, 3000 outer rows):
