@@ -219,9 +219,10 @@ class BoundReport:
     ``per_level_terms`` pairs each level's scalar rate guarantee with its
     interference penalty.  ``upper_bound`` is the converse,
     :meth:`Plan.upper_bound`, in a report from :func:`evaluate`, and None in
-    one from :func:`scheme_rate_lower_bound`.  ``constants`` keeps the raw
-    ingredients for inspection.
-    ``alloc`` is the allocation the bounds were evaluated on.
+    one from :func:`scheme_rate_lower_bound`.  ``sigma_w`` holds each
+    level's witness noise deviation: thermal noise plus every weaker level
+    at its worst-case power.  ``alloc`` is the allocation the bounds were
+    evaluated on.
 
     Below the feasibility threshold (see :func:`evaluate`) the report is
     infeasible: no allocation, bounds or per-level terms, ``loglog_term``
@@ -234,7 +235,7 @@ class BoundReport:
     lower_bound: float | None
     upper_bound: float | None
     per_level_terms: tuple[tuple[float, float], ...]
-    constants: dict
+    sigma_w: tuple[float, ...]
     alloc: PowerAllocation | None
     note: str | None = None
 
@@ -315,30 +316,14 @@ def _scheme_report(
     levels: Sequence[_ChainLevel], frob2: float, alloc: PowerAllocation, upper: float | None
 ) -> BoundReport:
     terms = []
-    level_details = []
+    sigma_w = []
     powers = _weaker_level_powers(alloc, frob2)
     for nu, level in enumerate(levels, start=1):
         (x_min, x_max), power = alloc.levels[nu - 1], powers[nu - 1]
         # the witness's noise: thermal plus every weaker level at worst case
-        sigma_w = math.sqrt(1.0 + power)
-        term = scalar_mi_lower_bound(x_min, x_max, level.sigma_h, sigma_w, level.e_log_h2)
-        penalty = _penalty(power, x_min, level.eps2)
-        terms.append((term, penalty))
-        level_details.append(
-            {
-                "level": nu,
-                "transmitter": level.transmitter,
-                "witness": level.witness,
-                "x_min": x_min,
-                "x_max": x_max,
-                "sigma_h": level.sigma_h,
-                "sigma_w": sigma_w,
-                "e_log_h2": level.e_log_h2,
-                "eps2": level.eps2,
-                "rate_term": term,
-                "interference_penalty": penalty,
-            }
-        )
+        sigma_w.append(math.sqrt(1.0 + power))
+        term = scalar_mi_lower_bound(x_min, x_max, level.sigma_h, sigma_w[-1], level.e_log_h2)
+        terms.append((term, _penalty(power, x_min, level.eps2)))
     snr, kappa = alloc.snr_budget, alloc.kappa
     return BoundReport(
         snr=snr,
@@ -347,7 +332,7 @@ def _scheme_report(
         lower_bound=float(sum(term for term, _ in terms)),
         upper_bound=upper,
         per_level_terms=tuple(terms),
-        constants={"frob_second_moment": frob2, "levels": level_details},
+        sigma_w=tuple(sigma_w),
         alloc=alloc,
     )
 
@@ -575,7 +560,7 @@ def evaluate(plan: Plan, snr: float) -> BoundReport:
             lower_bound=None,
             upper_bound=None,
             per_level_terms=(),
-            constants={},
+            sigma_w=(),
             alloc=None,
             note=f"below feasibility threshold {exc.threshold:.6g}",
         )

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import topology
-from .bounds import BoundReport, evaluate, plan
+from .bounds import BoundReport, Plan, evaluate, plan
 from .fading import FadingModel, load_fading_model
 from .powerchain import SizeGuardError, _check_receivers, decompose, longest_chain
 from .simulate import _check_grid, fit_loglog_slope, snr_sweep
@@ -302,9 +302,10 @@ def _write_grid(
         _emit(_to_csv([header, *cells]), args.out)
 
 
-def _bounds_doc(report: BoundReport) -> dict:
+def _bounds_doc(bounds_plan: Plan, report: BoundReport) -> dict:
     """A bounds JSON row: the allocation is left out, and an infeasible row
-    carries its note in place of the per-level terms and constants."""
+    carries its note in place of the per-level terms and constants, which
+    are read off the plan's levels, the report and its allocation."""
     head = {
         "snr": report.snr,
         "kappa": report.kappa,
@@ -314,10 +315,28 @@ def _bounds_doc(report: BoundReport) -> dict:
     }
     if not report.feasible:
         return {**head, "feasible": False, "note": report.note}
+    levels = [
+        {
+            "level": level.nu,
+            "transmitter": level.transmitter,
+            "witness": level.witness,
+            "x_min": x_min,
+            "x_max": x_max,
+            "sigma_h": level.sigma_h,
+            "sigma_w": sigma_w,
+            "e_log_h2": level.e_log_h2,
+            "eps2": level.eps2,
+            "rate_term": term,
+            "interference_penalty": penalty,
+        }
+        for level, (x_min, x_max), sigma_w, (term, penalty) in zip(
+            bounds_plan.levels, report.alloc.levels, report.sigma_w, report.per_level_terms
+        )
+    ]
     return {
         **head,
         "per_level_terms": [list(pair) for pair in report.per_level_terms],
-        "constants": report.constants,
+        "constants": {"frob_second_moment": bounds_plan.frob2, "levels": levels},
         "feasible": True,
     }
 
@@ -375,7 +394,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     cells = (
         (r.snr, r.kappa, r.loglog_term, r.lower_bound, r.upper_bound, r.feasible) for r in reports
     )
-    _write_grid(args, _BOUNDS_HEADER, cells, map(_bounds_doc, reports))
+    docs = (_bounds_doc(bounds_plan, r) for r in reports)
+    _write_grid(args, _BOUNDS_HEADER, cells, docs)
 
     if args.plot_data:
         points = [(math.log(math.log(r.snr)), r.lower_bound) for r in reports if r.feasible]

@@ -132,7 +132,7 @@ class FadingModel:
         """Zero-mean IID entries of the given variance (CN(0, variance))."""
         if not (_is_number(variance) and variance > 0):
             raise ValueError(f"variance must be a positive real number, not {variance!r}")
-        m = len(topo.nonzero_pairs())
+        m = sum(mask.bit_count() for mask in topo.hearer_masks)
         return cls(
             topo=topo,
             means=np.zeros(m, dtype=np.complex128),

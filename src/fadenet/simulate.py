@@ -354,8 +354,10 @@ def _magnitude_quadrature(
     c = 1.0 + b
     g_lo, g_hi = eps2 * x_lo * x_lo, eps2 * x_hi * x_hi
     v_lo, v_hi = c + g_lo, c + g_hi
-    q_lo_unit, q_hi_unit = g_lo / (c * v_lo), g_hi / (c * v_hi)
-    delta_unit = (g_hi - g_lo) / (v_lo * v_hi)
+    # each divided twice: a product of two output variances leaves double
+    # range from about 1e154, a fading variance of 1e122 at E = 1e16
+    q_lo_unit, q_hi_unit = g_lo / c / v_lo, g_hi / c / v_hi
+    delta_unit = (g_hi - g_lo) / v_lo / v_hi
     log_rho = np.log1p(delta_unit / q_lo_unit)
     log_scale = log_wb - np.log(2.0 * math.pi * math.log(x_hi / x_lo) * c)
     # the convergent series' weights of x^k / k!: (1 - rho^-k) / k at each
@@ -615,7 +617,8 @@ def _quadrature_terms(
     then the exponential |z|^2, then (with mu != 0) the phase of z.  Every
     row is finite: the fold's one point at 1 is kept below it, where the
     exponential's inverse CDF is finite, and a zero output is in the
-    marginal's domain.  The points are made at once (at most four times the
+    marginal's domain; a level whose output power leaves double range
+    raises ``ValueError``.  The points are made at once (at most four times the
     memory of the rows' values); this is the level's one loop over its rows,
     in blocks of the rule's ``rows``, so that no density call outgrows the
     element budget.
@@ -623,6 +626,16 @@ def _quadrature_terms(
     mu, eps2 = level.mu[0], level.eps2
     sigma2 = level.sigma[1:, 1:].trace().real
     (x_lo, x_hi), windows = level.windows(alloc)
+    # a row's |y - mu x|^2 is under 37 times the output variance at the
+    # window's top (the exponential's inverse CDF below 1), its |y|^2 at most
+    # twice that plus |mu x|^2 twice, and the densities scale either by at
+    # most 2 pi: 512 times the mean output power covers all three
+    power = abs(mu) ** 2 * x_hi * x_hi + 1.0 + eps2 * x_hi * x_hi
+    power += sum(sigma2 * xi_hi * xi_hi for _, xi_hi in windows)
+    if not math.isfinite(512.0 * power):
+        raise ValueError(
+            f"level {level.nu}'s output power at E = {alloc.snr_budget:g} is beyond double range"
+        )
     rule = _magnitude_quadrature(mu, eps2, x_lo, x_hi, sigma2, *windows)
     points = _folded_lattice(rng, n_outer, 2 + len(windows) + int(mu != 0))
     vals = np.empty(n_outer)

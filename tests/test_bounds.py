@@ -139,11 +139,11 @@ def test_reports_carry_each_levels_noise_std():
     # worst case, as each report carries it per level
     network = plan(FadingModel.iid_rayleigh(generate("wyner_linear", 2)))
     assert (network.kappa_star, network.frob2) == (2, 4.0)
-    levels = evaluate(network, 1e8).constants["levels"]
-    assert levels[1]["sigma_w"] == 1.0
-    assert levels[0]["sigma_w"] ** 2 == pytest.approx(4.00000001e8, rel=1e-12)
+    sigma_w = evaluate(network, 1e8).sigma_w
+    assert sigma_w[1] == 1.0
+    assert sigma_w[0] ** 2 == pytest.approx(4.00000001e8, rel=1e-12)
     deep = evaluate(plan(FadingModel.iid_rayleigh(generate("wyner_linear", 3))), 1e22)
-    values = [level["sigma_w"] for level in deep.constants["levels"]]
+    values = deep.sigma_w
     assert len(values) == 3
     assert values[0] >= values[1] >= values[2] == 1.0
 
@@ -160,12 +160,13 @@ def test_weaker_level_power_matches_the_per_level_oracle(spec, seed, kappa, star
     step = (300 - start) / 49
     for k in range(50):
         report = evaluate(network, 10.0 ** (start + k * step))
-        for nu, level in enumerate(report.constants["levels"], start=1):
+        for nu, level in enumerate(network.levels, start=1):
             power = weaker_level_power(report.alloc, nu, network.frob2)
-            penalty = math.log1p(power / (1.0 + level["eps2"] * level["x_min"] ** 2))
-            assert level["sigma_w"] == math.sqrt(1.0 + power)
-            assert level["interference_penalty"] == penalty
-            assert interference_penalty(nu, report.alloc, network.frob2, level["eps2"]) == penalty
+            x_min = report.alloc.levels[nu - 1][0]
+            penalty = math.log1p(power / (1.0 + level.eps2 * x_min**2))
+            assert report.sigma_w[nu - 1] == math.sqrt(1.0 + power)
+            assert report.per_level_terms[nu - 1][1] == penalty
+            assert interference_penalty(nu, report.alloc, network.frob2, level.eps2) == penalty
 
 
 @pytest.mark.parametrize("windows", [((1, 2), (1, 10), (1, 3)), ((1, 2), (1, 3), (1, 10))])
@@ -283,7 +284,11 @@ class TestSchemeRate:
             sum(term for term, _ in report.per_level_terms), rel=1e-12
         )
         assert report.per_level_terms[1][1] == 0.0
-        assert report.constants["frob_second_moment"] == pytest.approx(2.0)
+        # level 2 reaches level 1's witness through the whole matrix's second
+        # moment, 2 on diagonal:2
+        x_max = report.alloc.levels[1][1]
+        assert report.sigma_w[1] == 1.0
+        assert report.sigma_w[0] == pytest.approx(math.sqrt(1.0 + 2.0 * x_max**2), rel=1e-12)
 
     def test_below_threshold_raises(self):
         topo = generate("diagonal", 2)

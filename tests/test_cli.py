@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadenet import cli, powerchain, topology
+from fadenet.bounds import allocation
 from fadenet.cli import _json_text, build_parser, main
 from fadenet.fading import FadingModel
 from fadenet.topology import Topology, generate, save_topology
@@ -128,6 +129,13 @@ class TestBounds:
         assert len(docs) == 1
         assert docs[0]["feasible"] is True
         assert docs[0]["upper_bound"] == pytest.approx(3.8117156885835115, rel=1e-9)
+        # the per-level constants, assembled from the plan and the report
+        [level] = docs[0]["constants"]["levels"]
+        assert docs[0]["constants"]["frob_second_moment"] == 1.0
+        assert (level["level"], level["transmitter"], level["witness"]) == (1, 1, 1)
+        assert (level["x_min"], level["x_max"]) == allocation(1e8, 1).levels[0]
+        assert (level["sigma_h"], level["sigma_w"], level["eps2"]) == (1.0, 1.0, 1.0)
+        assert [level["rate_term"], level["interference_penalty"]] == docs[0]["per_level_terms"][0]
 
     def test_mixed_feasibility_rows(self, capsys):
         code, out, _ = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "5,9,2")
@@ -243,6 +251,30 @@ class TestSweep:
         )
         assert code == 2
         assert "--seed" in err
+
+    def test_huge_fading_variance(self, capsys, tmp_path):
+        # at 1e200 the closed-form marginal's v_lo * v_hi left double range,
+        # and mc read inf; the estimate sits in the noise-free limit, where a
+        # variance of 1e100 already is.  At 1e300 the output power itself
+        # leaves double range
+        rows = {}
+        for variance in ("1e100", "1e200", "1e300"):
+            model = tmp_path / f"model{variance}.json"
+            model.write_text(f'{{"covariance": [[[{variance}, 0]]]}}')
+            code, out, err = run(
+                capsys, "sweep", "--gen", "full:1,1", "--model", str(model),
+                "--grid", "8,16,3", "--seed", "8", "--outer", "400", "--inner", "120",
+            )
+            if variance == "1e300":
+                assert (code, out) == (2, "")
+                assert err.startswith("error: level 1's output power at E = 1e+08")
+                break
+            assert code == 0
+            # mc and mc_stderr at each point
+            lines = out.splitlines()[1:]
+            rows[variance] = [[float(v) for v in line.split(",")[4:6]] for line in lines]
+        assert len(rows["1e200"]) == 3 and np.isfinite(rows["1e200"]).all()
+        np.testing.assert_allclose(rows["1e200"], rows["1e100"], rtol=1e-9, atol=0)
 
     def test_grid_cap(self, capsys):
         code, _, err = run(
