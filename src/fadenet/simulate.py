@@ -29,17 +29,17 @@ their spread gives its stderr.  Each density is a plain array function
 of one entry per row, and its rule states how many rows one call may take
 within ``_BLOCK_ELEMENTS``; ``_quadrature_terms`` is the one loop over a
 level's rows, in blocks of that many.  Both densities are deterministic,
-with the phases averaged exactly (a Bessel factor when the fading has a mean): composite
-Gauss-Legendre over the interferer's log-magnitude, and over the target's
-log-magnitude an exact average through the exponential integral on every
-row when the fading has zero mean, and Gauss-Legendre with a mean.  Other
-levels, and every level when the caller supplies its own magnitude law,
-draw complex inputs and outputs through ``_output_law`` and use a nested
-plug-in (``_nested_terms``): each density is an equal-weight mixture of
-output laws over fresh inner draws of the inputs it does not condition on,
-so the only approximation error is Monte Carlo; a chunk takes as many outer
-rows as fill the element budget with inner draws, and the stderr comes
-from the outer rows' spread.  Both paths sum their exponentials with one
+with the phases averaged exactly (a Bessel factor when the fading has a
+mean): composite Gauss-Legendre over the interferer's log-magnitude, and
+over the target's log-magnitude an exact average through the exponential
+integral on every row when the fading has zero mean, and Gauss-Legendre
+with a mean.  Other levels, and every level when the caller supplies its
+own magnitude law, draw complex inputs and outputs through ``_output_law``
+and use a nested plug-in (``_nested_terms``): each density is an
+equal-weight mixture of output laws over fresh inner draws of the inputs
+it does not condition on, so the only approximation error is Monte Carlo;
+a chunk takes as many outer rows as fill the element budget with inner
+draws, and the stderr comes from the outer rows' spread.  Both paths sum their exponentials with one
 in-place log-sum-exp (``_logsumexp_rows``), and scipy is imported only by
 the quadrature levels whose fading has a mean (the Bessel factor).
 
@@ -355,7 +355,8 @@ def _magnitude_quadrature(
     g_lo, g_hi = eps2 * x_lo * x_lo, eps2 * x_hi * x_hi
     v_lo, v_hi = c + g_lo, c + g_hi
     # each divided twice: a product of two output variances leaves double
-    # range from about 1e154, a fading variance of 1e122 at E = 1e16
+    # range once they reach about 1e154, as at a full:1,1 fading variance of
+    # about 4e128 at E = 1e16
     q_lo_unit, q_hi_unit = g_lo / c / v_lo, g_hi / c / v_hi
     delta_unit = (g_hi - g_lo) / v_lo / v_hi
     log_rho = np.log1p(delta_unit / q_lo_unit)
@@ -618,10 +619,10 @@ def _quadrature_terms(
     row is finite: the fold's one point at 1 is kept below it, where the
     exponential's inverse CDF is finite, and a zero output is in the
     marginal's domain; a level whose output power leaves double range
-    raises ``ValueError``.  The points are made at once (at most four times the
-    memory of the rows' values); this is the level's one loop over its rows,
-    in blocks of the rule's ``rows``, so that no density call outgrows the
-    element budget.
+    raises ``ValueError``.  The points are made at once (at most four times
+    the memory of the rows' values); this is the level's one loop over its
+    rows, in blocks of the rule's ``rows``, so that no density call
+    outgrows the element budget.
     """
     mu, eps2 = level.mu[0], level.eps2
     sigma2 = level.sigma[1:, 1:].trace().real

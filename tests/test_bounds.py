@@ -142,8 +142,7 @@ def test_reports_carry_each_levels_noise_std():
     sigma_w = evaluate(network, 1e8).sigma_w
     assert sigma_w[1] == 1.0
     assert sigma_w[0] ** 2 == pytest.approx(4.00000001e8, rel=1e-12)
-    deep = evaluate(plan(FadingModel.iid_rayleigh(generate("wyner_linear", 3))), 1e22)
-    values = deep.sigma_w
+    values = evaluate(plan(FadingModel.iid_rayleigh(generate("wyner_linear", 3))), 1e22).sigma_w
     assert len(values) == 3
     assert values[0] >= values[1] >= values[2] == 1.0
 
