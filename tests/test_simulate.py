@@ -314,6 +314,26 @@ class TestMagnitudeQuadrature:
                 fine = estimate_pair_mi(model, chain, alloc, 1, 100, 100, seed=6)
             assert abs(fine.value - base.value) < 1e-6, (snr, base, fine)
 
+    def test_rician_blocks_fit_the_element_budget(self, scalar_setup, monkeypatch):
+        # K = 1e4 at E = 1e16 narrows the s panels to 0.025: thousands of
+        # nodes per row, so a block holds a few dozen rows
+        topo, _, chain = scalar_setup
+        model = FadingModel.from_mapping(topo, means={(1, 1): 100.0})
+        shapes = []
+        kernel = simulate._logsumexp_rows
+
+        def recording(block):
+            shapes.append(block.shape)
+            return kernel(block)
+
+        monkeypatch.setattr(simulate, "_logsumexp_rows", recording)
+        estimate_pair_mi(model, chain, allocation(1e16, 1), 1, 300, 100, seed=3)
+        columns = {shape[1] for shape in shapes}
+        assert len(columns) == 1 and columns.pop() >= 1000, shapes
+        assert sum(rows for rows, _ in shapes) == 300
+        assert len(shapes) > 1
+        assert max(math.prod(shape) for shape in shapes) <= simulate._BLOCK_ELEMENTS
+
 
 class TestLogsumexpRows:
     """The quadrature's own row-wise log-sum-exp, against scipy's."""
