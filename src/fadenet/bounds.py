@@ -141,8 +141,6 @@ def allocation(snr: float, kappa: int) -> PowerAllocation:
     for nu in range(1, kappa + 1):
         x_max = snr ** (1.0 / nu)
         x_min = snr ** (1.0 / (nu + 1)) * log_e
-        if not x_min < x_max:
-            raise AllocationInfeasibleError(snr, kappa, threshold)
         levels.append((x_min, x_max))
     return PowerAllocation(snr_budget=snr, levels=tuple(levels))
 

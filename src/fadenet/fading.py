@@ -128,15 +128,13 @@ class FadingModel:
         return {pair: i for i, pair in enumerate(self.entries)}
 
     @classmethod
-    def iid_rayleigh(cls, topo: Topology, variance: float = 1.0) -> "FadingModel":
-        """Zero-mean IID entries of the given variance (CN(0, variance))."""
-        if not (_is_number(variance) and variance > 0):
-            raise ValueError(f"variance must be a positive real number, not {variance!r}")
+    def iid_rayleigh(cls, topo: Topology) -> "FadingModel":
+        """Zero-mean IID CN(0, 1) entries."""
         m = sum(mask.bit_count() for mask in topo.hearer_masks)
         return cls(
             topo=topo,
             means=np.zeros(m, dtype=np.complex128),
-            covariance=np.eye(m, dtype=np.complex128) * variance,
+            covariance=np.eye(m, dtype=np.complex128),
         )
 
     @classmethod

@@ -5,8 +5,7 @@ The length of the longest such chain is the pre-log factor of the double-log
 capacity growth of a non-coherent fading network, so everything downstream
 (allocations, bounds, sweeps) starts here.  Chains are found exactly by
 raising a target length over memoised bounds on what each covered-receiver
-set can still reach; a brute-force enumerator is kept alongside as an
-independent oracle for small networks.
+set can still reach.
 """
 
 from __future__ import annotations
@@ -184,31 +183,6 @@ def longest_chain(topo: Topology, *, max_receivers: int = _MAX_RECEIVERS) -> tup
                 break
     chain = PowerChain(tuple(transmitters), tuple(witnesses))
     return kappa_star, chain
-
-
-def brute_force_kappa(topo: Topology, *, max_transmitters: int = 7) -> int:
-    """Longest-chain length by exhaustive enumeration of ordered tuples.
-
-    Independent oracle for :func:`longest_chain`; factorial in n_t, hence the
-    guard.
-    """
-    if topo.is_empty:
-        raise ValueError("brute_force_kappa needs a non-empty topology")
-    if topo.n_t > max_transmitters:
-        raise SizeGuardError(
-            f"{topo.n_t} transmitters exceeds the enumeration guard of {max_transmitters}"
-        )
-    masks = topo.hearer_masks
-
-    def extend(used: int, covered: int) -> int:
-        length = 0
-        for i, mask in enumerate(masks):
-            if used & (1 << i) or not mask & ~covered:
-                continue
-            length = max(length, 1 + extend(used | (1 << i), covered | mask))
-        return length
-
-    return extend(0, 0)
 
 
 @dataclass(frozen=True)

@@ -861,8 +861,6 @@ def snr_sweep(
     threshold come back infeasible, with the report's note, instead of
     failing the sweep.
     """
-    if not model.topo.is_pruned:
-        raise ValueError("sweep requires a pruned topology")
     grid = _check_grid(e_grid)
     if not _is_int(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")

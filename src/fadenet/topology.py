@@ -67,8 +67,8 @@ class Topology:
     @classmethod
     def _from_masks(cls, n_t: int, n_r: int, masks) -> Topology:
         """The topology whose transmitter t is heard by the receivers of the
-        set bits of ``masks[t - 1]``: n_t ints, each in [0, 2**n_r)."""
-        n_t, n_r = _check_sizes(n_t, n_r)
+        set bits of ``masks[t - 1]``: n_t ints, each in [0, 2**n_r), for
+        sizes that are already checked ints."""
         topo = cls.__new__(cls)
         topo._store(n_t, n_r, tuple(masks))
         return topo

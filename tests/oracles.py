@@ -7,6 +7,7 @@ import numpy as np
 
 from fadenet.bounds import PowerAllocation
 from fadenet.fading import FadingModel, _standard_complex
+from fadenet.powerchain import SizeGuardError
 from fadenet.topology import Topology
 
 
@@ -126,3 +127,26 @@ def prune_pairs(topo: Topology) -> Topology:
     r_new = {r: i for i, r in enumerate(kept_r, start=1)}
     zeros = {(r_new[r], t_new[t]) for r, t in topo.zeros if r in r_new and t in t_new}
     return Topology(n_t=len(kept_t), n_r=len(kept_r), zeros=frozenset(zeros))
+
+
+def brute_force_kappa(topo: Topology, *, max_transmitters: int = 7) -> int:
+    """Longest-chain length by exhaustive enumeration of ordered tuples; the
+    oracle for :func:`fadenet.powerchain.longest_chain`.  Factorial in n_t,
+    hence the guard."""
+    if topo.is_empty:
+        raise ValueError("brute_force_kappa needs a non-empty topology")
+    if topo.n_t > max_transmitters:
+        raise SizeGuardError(
+            f"{topo.n_t} transmitters exceeds the enumeration guard of {max_transmitters}"
+        )
+    masks = topo.hearer_masks
+
+    def extend(used: int, covered: int) -> int:
+        length = 0
+        for i, mask in enumerate(masks):
+            if used & (1 << i) or not mask & ~covered:
+                continue
+            length = max(length, 1 + extend(used | (1 << i), covered | mask))
+        return length
+
+    return extend(0, 0)

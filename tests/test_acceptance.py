@@ -25,7 +25,7 @@ from fadenet.bounds import (
 )
 from fadenet.cli import main
 from fadenet.fading import FadingModel, log_h_squared_mean, memory_gap_ar1
-from fadenet.powerchain import brute_force_kappa, decompose, longest_chain
+from fadenet.powerchain import decompose, longest_chain
 from fadenet.simulate import (
     SweepRecord,
     estimate_pair_mi,
@@ -33,7 +33,7 @@ from fadenet.simulate import (
     snr_sweep,
 )
 from fadenet.topology import generate
-from oracles import separation_ratios
+from oracles import brute_force_kappa, separation_ratios
 
 EULER_GAMMA = 0.5772156649015329
 GRID = [1e8, 1e10, 1e12, 1e14, 1e16]

@@ -58,8 +58,6 @@ def test_iid_rayleigh_basics():
     assert model.entry_mean(1, 1) == 0
     assert model.entry_variance(2, 2) == 1.0
     assert model.frob_second_moment == pytest.approx(6.0)  # six nonzero entries
-    richer = FadingModel.iid_rayleigh(topo, variance=2.5)
-    assert richer.frob_second_moment == pytest.approx(15.0)
 
 
 def test_construction_rejects_bad_statistics():
@@ -91,8 +89,6 @@ def test_scalar_statistics_must_be_real_numbers(value):
     with pytest.raises(ValueError, match="ar1_rho"):
         FadingModel(topo, np.zeros(2), np.eye(2), ar1_rho=value)
     with pytest.raises(ValueError, match="variance"):
-        FadingModel.iid_rayleigh(topo, variance=value)
-    with pytest.raises(ValueError, match="variance"):
         log_h_squared_mean(1.0, value)
 
 
@@ -100,8 +96,6 @@ def test_scalar_statistics_must_be_real_numbers(value):
 def test_scalar_statistics_take_python_and_numpy_reals(value):
     topo = generate("full", 2, 1)
     assert FadingModel(topo, np.zeros(2), np.eye(2), ar1_rho=value).ar1_rho == float(value)
-    variance = value + 1
-    assert FadingModel.iid_rayleigh(topo, variance=variance).entry_variance(1, 1) == float(variance)
 
 
 def test_rejections_inside_independent_blocks():

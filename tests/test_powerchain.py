@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from fadenet.powerchain import (
     PowerChain,
     SizeGuardError,
-    brute_force_kappa,
     decompose,
     is_power_chain,
     longest_chain,
     validate_chain,
 )
 from fadenet.topology import Topology, generate, parse_generator_spec, prune
+from oracles import brute_force_kappa
 
 
 def test_is_power_chain_on_wyner():

@@ -9,9 +9,6 @@ import fadenet
 from fadenet import bounds, fading, powerchain, simulate, topology
 
 MODULES = (topology, powerchain, fading, bounds, simulate)
-# public in their modules for the tests that use them as oracles, but no
-# part of the package's surface
-TEST_ORACLES = {"brute_force_kappa"}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -23,8 +20,7 @@ def test_module_all_lists_every_public_definition(module):
         and (inspect.isfunction(obj) or inspect.isclass(obj))
         and obj.__module__ == module.__name__
     }
-    assert defined - TEST_ORACLES <= set(module.__all__)
-    assert TEST_ORACLES.isdisjoint(module.__all__)
+    assert defined <= set(module.__all__)
     assert all(hasattr(module, name) for name in module.__all__)
 
 
