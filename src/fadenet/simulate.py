@@ -359,7 +359,9 @@ def _magnitude_quadrature(
     # about 4e128 at E = 1e16
     q_lo_unit, q_hi_unit = g_lo / c / v_lo, g_hi / c / v_hi
     delta_unit = (g_hi - g_lo) / v_lo / v_hi
-    log_rho = np.log1p(delta_unit / q_lo_unit)
+    # rho - 1 = delta / q_lo, in factors that stay finite where q_lo / a^2
+    # underflows, as under an interferer of variance 1e200
+    log_rho = np.log1p((g_hi - g_lo) / g_lo * (c / v_hi))
     log_scale = log_wb - np.log(2.0 * math.pi * math.log(x_hi / x_lo) * c)
     # the convergent series' weights of x^k / k!: (1 - rho^-k) / k at each
     # interferer node, and in a last row 1 / k, for Ei itself

@@ -276,6 +276,25 @@ class TestSweep:
         assert len(rows["1e200"]) == 3 and np.isfinite(rows["1e200"]).all()
         np.testing.assert_allclose(rows["1e200"], rows["1e100"], rtol=1e-9, atol=0)
 
+    def test_loud_interferer(self, capsys, tmp_path):
+        # from an interferer variance near 1e155 on the Z-channel's level-1
+        # witness, q / a^2 at the low end of the output variance underflowed
+        # to 0, the closed-form marginal's log rho read 0/0, and mc was nan
+        rows = {}
+        for variance in ("1e100", "1e150", "1e200", "1e250", "1e280"):
+            model = tmp_path / f"model{variance}.json"
+            cov = np.diag([1.0, float(variance), 1.0]).tolist()
+            model.write_text(json.dumps({"covariance": [[[c, 0.0] for c in row] for row in cov]}))
+            code, out, _ = run(
+                capsys, "sweep", "--topo", Z_CHANNEL, "--model", str(model),
+                "--grid", "8,16,3", "--seed", "1", "--outer", "2000",
+            )
+            assert code == 0
+            rows[variance] = [[float(v) for v in line.split(",")[4:6]] for line in out.splitlines()[1:]]
+        assert len(rows["1e280"]) == 3 and np.isfinite(list(rows.values())).all()
+        for values in rows.values():
+            np.testing.assert_allclose(values, rows["1e100"], rtol=1e-9, atol=0)
+
     def test_grid_cap(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--gen", "full:1,1", "--grid", "8,18,2",
