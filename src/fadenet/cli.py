@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="threads sharing the (grid point, level) estimates, at most the "
-        "CPU count; a second one pays on nested-path levels and ties with one "
-        "on quadrature levels; the output bytes do not depend on it",
+        "CPU count; a second one pays on nested-path levels and can be slower "
+        "on short quadrature sweeps; the output bytes do not depend on it",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -52,12 +52,12 @@ same level, budget and seed.
 Determinism contract: every public operation takes a seed, and a sweep
 expands its root seed into one independent stream per (grid point, level),
 so the worker count never changes the output bytes.  The sweep's workers are
-threads, at most one per CPU.  On 2 cores a second one pays on nested-path
-levels, which are long numpy calls (a Z-channel with an interferer mean,
-2000 outer by 2000 inner samples at 3 points: 3.8-4.2 s with one, 2.6-2.7 s
-with two), and ties with one on quadrature levels (``diagonal:2`` at 5
-points: 20.5 against 21.1 ms at 20000 outer samples, 5.2 against 5.1 ms at
-3000).
+threads, at most one per CPU.  On 2 cores (in-process, BLAS at one thread)
+a second one pays on nested-path levels (a Z-channel with an interferer
+mean, 2000 outer by 2000 inner samples at 3 points: 4.7-5.3 s with one,
+3.2-3.8 s with two) and on long quadrature sweeps (``diagonal:2`` at 5
+points, 20000 outer samples: 26.0 against 23.0 ms), but costs on short ones
+(3000 outer samples: 6.5 against 9.9 ms, slower in 8 of 8 windows).
 """
 
 from __future__ import annotations
@@ -851,7 +851,7 @@ def snr_sweep(
     root by position, and records are assembled in grid order, so the result
     is byte-identical for any ``workers`` count.  At most ``os.cpu_count()``
     worker threads share one queue of (point, level) estimates in grid
-    order; a second worker pays on nested-path levels only.  On a quadrature
+    order; a second worker pays on long sweeps only.  On a quadrature
     level ``n_outer`` counts the points of 16 shifted lattices folded by the
     baker's transform: from 2000 rows on, their stderr is 0.2-0.6 times the
     unfolded rule's on every level kind, but below about 1000 rows a

@@ -22,7 +22,7 @@ from fadenet.bounds import (
     scheme_rate_lower_bound,
 )
 from fadenet.fading import FadingModel, block_mutual_information, log_h_squared_mean
-from fadenet.powerchain import longest_chain
+from fadenet.powerchain import PowerChain, longest_chain
 from fadenet.topology import Topology, generate, parse_generator_spec, prune
 from oracles import log_spread, separation_ratios, weaker_level_power
 
@@ -295,6 +295,12 @@ class TestSchemeRate:
         _, chain = longest_chain(topo)
         with pytest.raises(AllocationInfeasibleError):
             scheme_rate_lower_bound(model, chain, 1e6)
+
+    def test_empty_chain_raises(self):
+        # the empty tuple is a power chain, but it carries no level
+        model = FadingModel.iid_rayleigh(generate("diagonal", 2))
+        with pytest.raises(ValueError, match="at least one member"):
+            scheme_rate_lower_bound(model, PowerChain((), ()), 1e8)
 
 
 def test_alpha_penalty():

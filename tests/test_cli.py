@@ -207,6 +207,9 @@ class TestBounds:
         assert code == 2
         code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "8,9,1")
         assert code == 2
+        code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", "8,16")
+        assert code == 2
+        assert "START,STOP,POINTS" in err
         for grid in ("nan,16,3", "8,nan,3", "8,inf,3"):
             code, _, err = run(capsys, "bounds", "--gen", "diagonal:2", "--grid", grid)
             assert code == 2
@@ -277,9 +280,10 @@ class TestSweep:
         np.testing.assert_allclose(rows["1e200"], rows["1e100"], rtol=1e-9, atol=0)
 
     def test_loud_interferer(self, capsys, tmp_path):
-        # from an interferer variance near 1e155 on the Z-channel's level-1
-        # witness, q / a^2 at the low end of the output variance underflowed
-        # to 0, the closed-form marginal's log rho read 0/0, and mc was nan
+        # from an interferer variance between 1e150 and 1e200 on the
+        # Z-channel's level-1 witness, q / a^2 at the low end of the output
+        # variance underflowed to 0, the closed-form marginal's log rho read
+        # 0/0, and mc was nan
         rows = {}
         for variance in ("1e100", "1e150", "1e200", "1e250", "1e280"):
             model = tmp_path / f"model{variance}.json"
@@ -290,7 +294,8 @@ class TestSweep:
                 "--grid", "8,16,3", "--seed", "1", "--outer", "2000",
             )
             assert code == 0
-            rows[variance] = [[float(v) for v in line.split(",")[4:6]] for line in out.splitlines()[1:]]
+            lines = out.splitlines()[1:]
+            rows[variance] = [[float(v) for v in line.split(",")[4:6]] for line in lines]
         assert len(rows["1e280"]) == 3 and np.isfinite(list(rows.values())).all()
         for values in rows.values():
             np.testing.assert_allclose(values, rows["1e100"], rtol=1e-9, atol=0)

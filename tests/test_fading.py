@@ -313,6 +313,13 @@ def test_deserialization_validates(tmp_path):
     bad["covariance"] = [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ValueError, match=r"\[re, im\]"):
         fading_model_from_dict(topo, bad)
+    for rows in ([1.0, 0.0], 1.0):
+        bad = dict(doc)
+        bad["covariance"] = rows
+        with pytest.raises(ValueError, match="list of rows"):
+            fading_model_from_dict(topo, bad)
+    with pytest.raises(ValueError, match="JSON object"):
+        fading_model_from_dict(topo, [doc])
     # entry labels are checked, not coerced: each of these once set (1, 1)
     for labels in ([1.7, 1.2], [True, 1], ["1", "1"], [1, None]):
         bad = dict(doc)

@@ -254,6 +254,12 @@ def test_validate_chain_rejects_heard_witness():
     validate_chain(topo, PowerChain(transmitters=(1, 2), witnesses=(1, 3)))
 
 
+def test_validate_chain_rejects_a_non_chain():
+    # transmitter 2 reaches no receiver that transmitter 1 missed
+    with pytest.raises(ValueError, match="not a power chain"):
+        validate_chain(generate("full", 2, 2), PowerChain(transmitters=(1, 2), witnesses=(1, 2)))
+
+
 def test_validate_chain_rejects_unheard_witness():
     topo = generate("diagonal", 2)
     with pytest.raises(ValueError):

@@ -149,6 +149,11 @@ class TestEstimatePairMi:
                 200,
                 seed=0,
             )
+        with pytest.raises(ValueError, match="wrong shape"):
+            estimate_pair_mi(
+                model, chain, allocation(1e8, 1), 1, 200, 200, seed=0,
+                magnitude_sampler=lambda rng, shape: np.ones(3),
+            )
 
     def test_constant_magnitude_gives_zero(self, scalar_setup):
         # zero-mean fading with a fixed input magnitude: the output law does

@@ -294,6 +294,19 @@ def test_malformed_documents_rejected(mutate):
         topology_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        ([[1, 1]], "JSON object"),
+        ({"n_t": 2, "n_r": 2, "zeros": [[1.0, 1]]}, "must hold integers"),
+        ({"n_t": 2, "n_r": 2, "zeros": [[1, True]]}, "must hold integers"),
+    ],
+)
+def test_document_rejections_name_their_cause(doc, match):
+    with pytest.raises(ValueError, match=match):
+        topology_from_dict(doc)
+
+
 def test_numpy_sizes_are_stored_as_int():
     topo = Topology(n_t=np.int64(2), n_r=np.int32(2), zeros=frozenset({(np.int64(2), 1)}))
     assert type(topo.n_t) is int and type(topo.n_r) is int
